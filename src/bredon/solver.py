@@ -2,37 +2,50 @@
 
 Given Betti numbers of a space (and optionally of its fixed locus), plus
 duality and surjectivity hypotheses, :func:`enumerate_decompositions` lists
-every normal form consistent with the data.  The search walks singular
-degrees 0..2n in increasing order.  At degree d it must account for:
+every normal form consistent with the data.  Each summand uses units of the
+singular Betti numbers: a free summand at (p, q) one unit in degree p (and
+one fixed-locus unit in degree p - q), an antipodal 0-sphere at shift r two
+units in degree r, a positive antipodal n-sphere one unit in degree r and
+one in degree r + n.
 
-* one unit of degree-d dimension per free summand at (d, q);
-* two units per antipodal 0-sphere at shift d;
-* one unit per positive antipodal sphere at shift d, whose second unit (the
-  "tail") lands higher, offset by the sphere dimension, and consumes budget
-  there when that degree is reached.
+**Orbit charging.**  Under Poincare duality the multiplicity maps are
+mirror-symmetric, so the search picks a multiplicity for one representative
+per mirror orbit, the least key of ``{key, mirror}``, and charges every unit
+of the whole orbit at once; without duality every orbit is a single key.
+Every orbit's units lie at or above its representative's degree, so the
+search walks degrees 0..n under duality and 0..2n otherwise.  At each degree
+the units still left there must be used up exactly, and the units charged
+to higher degrees and to the fixed locus must stay within their budgets.
+Keys the forgetful or class rules forbid are never offered.  A budget that
+no later orbit can charge must already be spent.
 
-Pruning is by running budgets (singular, scheduled tails, fixed-locus Betti
-numbers) and, when duality is asserted, by mirror forcing: once the degree
-passes n, every free multiplicity is determined by its mirror below n, and
-antipodal multiplicities whose mirror shift was already processed are
-likewise forced.  Every candidate that survives is re-checked through the
-public localization and classification operations before being returned, so
-the output is sound by construction and the pruning only affects speed.
+**Memoized state DAG.**  What can still happen after degree d depends only
+on the key ``(d, units left in degrees >= d, fixed units used)``.  Each key
+is expanded once; the memo keeps, per key, the choices at its degree that
+lead to a completion, with the key they lead to, and drops dead keys.  The
+modules are then read off the paths of that DAG.
 
-The search is single-threaded; output is canonically sorted so it does not
+**Exact-sum pruning.**  Within a degree, a bitset per orbit slot holds the
+unit counts the later slots can absorb under upper-bound caps, and a
+multiplicity is tried only when the rest can be absorbed.
+
+Every module the search produces is re-checked through the public
+localization and classification operations before it is returned, so the
+output is sound by construction and the pruning only affects speed.  The
+search is single-threaded; output is canonically sorted so it does not
 depend on exploration order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import GradedDims, NormalFormModule, make_module
 from .classification import MaximalityClass, classify
 from .exceptions import ConstraintViolation, InfeasibleBounds, SchemaError
 from .localization import (
     forgetful_image_dims,
-    pd_symmetric,
     real_manifold_validate,
     rho_localize,
     underlying_singular,
@@ -179,8 +192,6 @@ def satisfies_constraints(cs: ConstraintSet, module: NormalFormModule) -> bool:
     if cs.betti_fixed is not None and rho_localize(module) != cs.betti_fixed:
         return False
     if cs.poincare_dual:
-        if not pd_symmetric(module, n).holds:
-            return False
         report = real_manifold_validate(module, n, cs.has_fixed_point, cs.connected)
         if not report.passed:
             return False
@@ -192,13 +203,6 @@ def satisfies_constraints(cs: ConstraintSet, module: NormalFormModule) -> bool:
     if cs.class_filter is not None and classify(module) is not cs.class_filter:
         return False
     return True
-
-
-# Slot kinds used by the per-degree composition enumerator.
-_FREE = 0  # one free summand key (d, q); unit cost 1
-_FREE_PAIR = 1  # mirror-linked keys (n, q) and (n, n - q); unit cost 2
-_ANTI0 = 2  # antipodal 0-sphere at shift d; unit cost 2
-_ANTI = 3  # antipodal n-sphere, n > 0, at shift d; unit cost 1 plus a tail
 
 
 def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
@@ -215,212 +219,182 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
                 f"betti_total has dimension {v} in degree {d}, outside [0, {top}]"
             )
 
-    betti = cs.betti_total.to_list(top)
-    pd = cs.poincare_dual
-    forgetful = cs.forgetful_onto_degrees or frozenset()
-    klass = cs.class_filter
-
     fixed_target = None
     if cs.betti_fixed is not None:
         if any(d < 0 or d > top for d in cs.betti_fixed.support()):
             return []  # no key in the box reaches those fixed degrees
         fixed_target = cs.betti_fixed.to_list(top)
 
-    min_shift = 1 if cs.has_fixed_point else 0
-    span_cap = top - 1 if cs.has_fixed_point else top
+    table, closed_units, closed_fixed = _search_plan(
+        n,
+        cs.poincare_dual,
+        cs.has_fixed_point,
+        cs.forgetful_onto_degrees or frozenset(),
+        cs.class_filter,
+    )
 
-    tails = [0] * (top + 2)
-    fixed_used = [0] * (top + 1)
-    free_chosen: dict[tuple[int, int], int] = {}
-    anti_chosen: dict[tuple[int, int], int] = {}
+    last = len(table) - 1
+    remaining = cs.betti_total.to_list(top)
+    used = None if fixed_target is None else [0] * (top + 1)
+    # state key -> edges (free segment, antipodal segment, child key) that
+    # lead to a completion; a dead state maps to [], the leaf's edge to None
+    memo: dict[tuple, list] = {}
+
+    def state_key(d):
+        return (d, tuple(remaining[d:]), None if used is None else tuple(used))
+
+    def cap_of(slot, r):
+        cost, others, fixed, _, _ = slot
+        cap = r // cost
+        for e, k in others:
+            cap = min(cap, remaining[e] // k)
+        if used is not None:
+            for f, k in fixed:
+                cap = min(cap, (fixed_target[f] - used[f]) // k)
+        return cap
+
+    def charge(slot, c):
+        for e, k in slot[1]:
+            remaining[e] -= c * k
+        if used is not None:
+            for f, k in slot[2]:
+                used[f] += c * k
+
+    def build(d):
+        if any(remaining[e] for e in closed_units[d]):
+            return []
+        if used is not None and any(
+            used[f] != fixed_target[f] for f in closed_fixed[d]
+        ):
+            return []
+        if d > last:
+            return [((), (), None)]
+        total = remaining[d]
+        # slots that can take a copy, and reach[i]: the bitset of the sums
+        # slots i.. can absorb under today's caps
+        slots = [slot for slot in table[d] if cap_of(slot, total)]
+        reach = [0] * len(slots) + [1]
+        mask = (1 << (total + 1)) - 1
+        for i in range(len(slots) - 1, -1, -1):
+            cost, bits = slots[i][0], 0
+            for c in range(cap_of(slots[i], total) + 1):
+                bits |= reach[i + 1] << (c * cost)
+            reach[i] = bits & mask
+        edges: list = []
+        if not reach[0] >> total & 1:
+            return edges
+        free_seg: list = []
+        anti_seg: list = []
+
+        def fill(i, r):
+            if i == len(slots):
+                child = state_key(d + 1)
+                alive = memo.get(child)
+                if alive is None:
+                    alive = memo[child] = build(d + 1)
+                if alive:
+                    edges.append((tuple(free_seg), tuple(anti_seg), child))
+                return
+            slot = slots[i]
+            cost, _, _, free_keys, anti_keys = slot
+            below = reach[i + 1]
+            for c in range(cap_of(slot, r) + 1):
+                rest = r - c * cost
+                if not below >> rest & 1:
+                    continue
+                if c:
+                    charge(slot, c)
+                    free_seg.extend((p, q, c) for p, q in free_keys)
+                    anti_seg.extend((s, t, c) for s, t in anti_keys)
+                fill(i + 1, rest)
+                if c:
+                    charge(slot, -c)
+                    del free_seg[len(free_seg) - len(free_keys):]
+                    del anti_seg[len(anti_seg) - len(anti_keys):]
+
+        fill(0, total)
+        return edges
+
+    root = state_key(0)
+    memo[root] = build(0)
     results: list[NormalFormModule] = []
 
-    def anti_t_range(d: int):
-        return range(0, span_cap - d + 1)
+    def walk(key, free, anti):
+        for free_seg, anti_seg, child in memo[key]:
+            if child is not None:
+                walk(child, free + free_seg, anti + anti_seg)
+                continue
+            module = make_module(free, anti)
+            if satisfies_constraints(cs, module):
+                results.append(module)
 
-    def anti_allowed(d: int, t: int, c: int) -> bool:
-        """Budget/forgetful/class feasibility of c copies of A_t at shift d."""
-        if c == 0:
-            return True
-        if klass is MaximalityClass.MAXIMAL:
-            return False
-        if t > 0 and klass is MaximalityClass.GALOIS_MAXIMAL_ONLY:
-            return False
-        if t == 0 and d in forgetful:
-            return False
-        if t > 0 and (d + t) in forgetful:
-            return False
-        if t > 0 and tails[d + t] + c > betti[d + t]:
-            return False
-        return True
-
-    def finalize():
-        module = make_module(
-            [(p, q, c) for (p, q), c in free_chosen.items() if c],
-            [(r, t, c) for (r, t), c in anti_chosen.items() if c],
-        )
-        if satisfies_constraints(cs, module):
-            results.append(module)
-
-    def fill(slots, i, remaining, d):
-        if i == len(slots):
-            if remaining == 0:
-                process(d + 1)
-            return
-        kind, q_or_t, cost = slots[i]
-        cap = remaining // cost
-        if kind in (_FREE, _FREE_PAIR):
-            if fixed_target is not None:
-                k = d - q_or_t
-                cap = min(cap, fixed_target[k] - fixed_used[k])
-                if kind == _FREE_PAIR:
-                    # the partner key (n, n-q) hits fixed degree q
-                    cap = min(cap, fixed_target[q_or_t] - fixed_used[q_or_t])
-            if pd and kind == _FREE and d < n:
-                cap = min(cap, betti[top - d])  # mirror head must fit later
-                if fixed_target is not None:
-                    cap = min(cap, fixed_target[n - d + q_or_t])
-        else:
-            t = q_or_t
-            if not anti_allowed(d, t, 1):
-                cap = 0
-            elif t > 0:
-                cap = min(cap, betti[d + t] - tails[d + t])
-            if pd:
-                mirror_r = top - d - t
-                if mirror_r > d:
-                    if not anti_allowed(mirror_r, t, 1):
-                        cap = 0
-                    else:
-                        cap = min(cap, betti[mirror_r])
-                        if t > 0:
-                            cap = min(cap, betti[top - d])
-        for c in range(max(cap, 0) + 1):
-            undo = apply_slot(slots[i], c, d)
-            fill(slots, i + 1, remaining - c * cost, d)
-            undo()
-
-    def apply_slot(slot, c, d):
-        kind, q_or_t, _cost = slot
-        keys = []
-        tail_deg = None
-        if kind == _FREE:
-            keys = [((d, q_or_t), d - q_or_t)]
-        elif kind == _FREE_PAIR:
-            keys = [((n, q_or_t), n - q_or_t), ((n, n - q_or_t), q_or_t)]
-        elif kind == _ANTI0:
-            anti_chosen[(d, 0)] = c
-        else:
-            anti_chosen[(d, q_or_t)] = c
-            tail_deg = d + q_or_t
-            tails[tail_deg] += c
-        for key, fixed_deg in keys:
-            free_chosen[key] = c
-            fixed_used[fixed_deg] += c
-
-        def undo():
-            for key, fixed_deg in keys:
-                del free_chosen[key]
-                fixed_used[fixed_deg] -= c
-            if kind == _ANTI0:
-                del anti_chosen[(d, 0)]
-            elif kind == _ANTI:
-                del anti_chosen[(d, q_or_t)]
-                tails[tail_deg] -= c
-
-        return undo
-
-    def process(d):
-        if d > top:
-            if fixed_target is not None and fixed_used != fixed_target:
-                return
-            finalize()
-            return
-
-        if fixed_target is not None:
-            expired = d - n - 1
-            if expired >= 0 and fixed_used[expired] != fixed_target[expired]:
-                return
-
-        avail = betti[d] - tails[d]
-        if avail < 0:
-            return
-
-        applied = []
-
-        def abort():
-            for undo in reversed(applied):
-                undo()
-
-        # Mirror-forced multiplicities (duality): free keys once past the
-        # middle degree, antipodal keys whose mirror shift lies behind us.
-        if pd:
-            if d > n:
-                for q in range(min(d, n) + 1):
-                    c = free_chosen.get((top - d, n - q), 0)
-                    avail -= c
-                    if avail < 0:
-                        abort()
-                        return
-                    if fixed_target is not None:
-                        k = d - q
-                        if fixed_used[k] + c > fixed_target[k]:
-                            abort()
-                            return
-                    free_chosen[(d, q)] = c
-                    fixed_used[d - q] += c
-
-                    def undo_free(key=(d, q), fd=d - q, cc=c):
-                        del free_chosen[key]
-                        fixed_used[fd] -= cc
-
-                    applied.append(undo_free)
-            if d >= min_shift:
-                for t in anti_t_range(d):
-                    mirror_r = top - d - t
-                    if mirror_r >= d:
-                        continue
-                    c = anti_chosen.get((mirror_r, t), 0)
-                    if not anti_allowed(d, t, c):
-                        abort()
-                        return
-                    avail -= (2 if t == 0 else 1) * c
-                    if avail < 0:
-                        abort()
-                        return
-                    anti_chosen[(d, t)] = c
-                    if t > 0:
-                        tails[d + t] += c
-
-                    def undo_anti(key=(d, t), td=d + t if t else None, cc=c):
-                        del anti_chosen[key]
-                        if td is not None:
-                            tails[td] -= cc
-
-                    applied.append(undo_anti)
-
-        slots = []
-        if not pd or d < n:
-            for q in range(min(d, n) + 1):
-                slots.append((_FREE, q, 1))
-        elif d == n:
-            for q in range(n // 2 + 1):
-                if q < n - q:
-                    slots.append((_FREE_PAIR, q, 2))
-                else:
-                    slots.append((_FREE, q, 1))
-        if d >= min_shift:
-            for t in anti_t_range(d):
-                if pd and top - d - t < d:
-                    continue  # forced above
-                slots.append((_ANTI0, 0, 2) if t == 0 else (_ANTI, t, 1))
-
-        fill(slots, 0, avail, d)
-        abort()
-
-    process(0)
+    walk(root, (), ())
     results.sort(key=lambda m: m.sort_key())
     return results
+
+
+@lru_cache(maxsize=64)
+def _search_plan(n, poincare_dual, has_fixed_point, forgetful, klass):
+    """The orbit slots per degree, and the budgets closed at each degree.
+
+    Degrees 0..last are walked, last = n under duality and 2n otherwise.  A
+    slot is ``(cost, others, fixed, free_keys, antipodal_keys)``: the units
+    one copy of the orbit uses at its own degree, the units it uses at later
+    degrees and the fixed-locus units it uses, each as (degree, units)
+    pairs, and the keys it sets.  Keys the forgetful or class rules forbid
+    are left out.  ``closed_units[d]`` and ``closed_fixed[d]`` list the
+    budgets that no slot at degree d or later charges.
+    """
+    top = 2 * n
+    last = n if poincare_dual else top
+    min_shift = 1 if has_fixed_point else 0
+    span_cap = top - 1 if has_fixed_point else top
+
+    def orbit(key, mirror):
+        """The keys a representative stands for; None when it stands for none."""
+        if not poincare_dual or mirror == key:
+            return (key,)
+        return (key, mirror) if key < mirror else None
+
+    def tally(degrees):
+        counts: dict[int, int] = {}
+        for e in degrees:
+            counts[e] = counts.get(e, 0) + 1
+        return tuple(counts.items())
+
+    table = []
+    for d in range(last + 1):
+        members = []
+        for q in range(min(d, n) + 1):
+            keys = orbit((d, q), (top - d, n - q))
+            if keys:
+                members.append((keys, ()))
+        if d >= min_shift and klass is not MaximalityClass.MAXIMAL:
+            for t in range(span_cap - d + 1):
+                keys = orbit((d, t), (top - d - t, t))
+                if not keys or t and klass is MaximalityClass.GALOIS_MAXIMAL_ONLY:
+                    continue
+                if all(r + span not in forgetful for r, span in keys):
+                    members.append(((), keys))
+        slots = []
+        for free_keys, anti_keys in members:
+            units = [p for p, _ in free_keys]
+            for r, t in anti_keys:
+                units += [r, r + t]
+            others = tally(e for e in units if e != d)
+            fixed = tally(p - q for p, q in free_keys)
+            slots.append((units.count(d), others, fixed, free_keys, anti_keys))
+        table.append(slots)
+
+    closed_units, closed_fixed = [], []
+    for d in range(last + 2):
+        later = [slot for slots in table[d:] for slot in slots]
+        units = {e for slot in later for e, _ in slot[1]}
+        units.update(e for e in range(d, last + 1) if table[e])
+        fixed = {f for slot in later for f, _ in slot[2]}
+        closed_units.append([e for e in range(d, top + 1) if e not in units])
+        closed_fixed.append([f for f in range(top + 1) if f not in fixed])
+    return table, closed_units, closed_fixed
 
 
 @dataclass(frozen=True)

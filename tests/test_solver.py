@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -59,35 +60,14 @@ def test_k3_matches_brute_force():
     assert enumerate_decompositions(cs) == brute_force_decompositions(cs)
 
 
-def test_cubic_with_forgetful_oracle_verified():
-    """Frozen behavior of the constraint predicate on the cubic data.
-
-    The search (confirmed by the unpruned brute force) yields exactly three
-    modules, all Galois-Maximal, one of which is the classically derived
-    decomposition; the classical hand derivation pins the weights with
-    geometric input the constraint vocabulary cannot express.
-    """
-    cs = cubic_constraints(forgetful=True)
+def test_k3_betti_fiber_matches_brute_force():
+    """The Betti-only K3 fiber, where many search paths share states."""
+    cs = ConstraintSet(
+        dimension=2, betti_total=GradedDims.from_list([1, 0, 22, 0, 1])
+    )
     solutions = enumerate_decompositions(cs)
+    assert len(solutions) == 10146
     assert solutions == brute_force_decompositions(cs)
-    assert len(solutions) == 3
-    assert catalog_get("cubic_threefold_s3_rp3").module in solutions
-    assert all(classify(m) is GM for m in solutions)
-
-
-def test_cubic_without_forgetful():
-    cs = cubic_constraints(forgetful=False)
-    solutions = enumerate_decompositions(cs)
-    assert solutions == brute_force_decompositions(cs)
-    assert len(solutions) >= 2
-    neither = [m for m in solutions if classify(m) is NEITHER]
-    assert neither
-    assert any(
-        any(n == 1 for _, n, _ in m.antipodal) for m in neither
-    ), "expected a 1-sphere summand among the extra solutions"
-    # adding the surjectivity hypothesis removes every non-GM solution
-    with_f = set(enumerate_decompositions(cubic_constraints(forgetful=True)))
-    assert with_f <= set(solutions)
 
 
 def _random_constraints(rng):
@@ -138,6 +118,40 @@ def test_completeness_against_brute_force():
         assert fast == slow, cs.to_json_dict()
         nonempty += bool(fast)
     assert nonempty >= 10  # the comparison must not be vacuous
+
+
+def _box_constraints():
+    """Every constraint set of a small box, for the exhaustive sweep.
+
+    Dimensions 1 and 2; Betti entries up to 3 (n = 1) or 2 (n = 2) with
+    total 1..4; every duality and fixed-point flag, connectedness whenever
+    b0 = 1; every class filter.
+    """
+    for n, entry_cap in ((1, 3), (2, 2)):
+        for betti in itertools.product(range(entry_cap + 1), repeat=2 * n + 1):
+            if not 1 <= sum(betti) <= 4:
+                continue
+            for pd, fixed_point in itertools.product((False, True), repeat=2):
+                for connected in (False, True) if betti[0] == 1 else (False,):
+                    for class_filter in (None, M, GM, NEITHER):
+                        yield ConstraintSet(
+                            dimension=n,
+                            betti_total=GradedDims.from_list(betti),
+                            has_fixed_point=fixed_point,
+                            connected=connected,
+                            poincare_dual=pd,
+                            class_filter=class_filter,
+                        )
+
+
+def test_exhaustive_box_against_brute_force():
+    cases = nonempty = 0
+    for cs in _box_constraints():
+        fast = enumerate_decompositions(cs)
+        assert fast == brute_force_decompositions(cs), cs.to_json_dict()
+        cases += 1
+        nonempty += bool(fast)
+    assert (cases, nonempty) == (2672, 1175)
 
 
 def _random_module_in_box(rng, n):
