@@ -16,8 +16,9 @@ of keys, which is what :class:`NormalFormModule` stores.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exceptions import (
     ConstraintViolation,
@@ -161,16 +162,78 @@ def m2_basis(max_exponent: int) -> Iterator[M2Element]:
 # ---------------------------------------------------------------------------
 
 
-def _clean_items(pairs: Iterable[tuple], what: str) -> tuple:
-    merged: dict = {}
-    for key, value in pairs:
-        if not isinstance(value, int):
-            raise ValueError(f"{what} values must be integers, got {value!r}")
-        merged[key] = merged.get(key, 0) + value
-    for key, value in merged.items():
-        if value < 0:
-            raise ValueError(f"{what} at {key} is negative ({value})")
-    return tuple(sorted((k, v) for k, v in merged.items() if v != 0))
+def merge_rows(rows: Iterable[Sequence], width: int) -> tuple:
+    """Canonical rows: sorted by key, equal keys summed, zero sums dropped.
+
+    Rows are ``(key, value)`` (width 2) or ``(a, b, value)`` (width 3), in any
+    order, as tuples or lists; the result is a tuple of tuples.  Cost: one
+    sort and one scan.
+    """
+    ordered = iter(sorted(map(tuple, rows)))
+    # The current key's row, reused as it is; None once a duplicate has been
+    # summed into the key, so that the row is rebuilt with the total.
+    row = next(ordered, ())
+    out = []
+    if width == 2 and row:
+        key, total = row
+        for nxt in ordered:
+            k, v = nxt
+            if k == key:
+                total += v
+                row = None
+                continue
+            if total:
+                out.append(row or (key, total))
+            row, key, total = nxt, k, v
+        if total:
+            out.append(row or (key, total))
+    elif row:
+        a, b, total = row
+        for nxt in ordered:
+            x, y, v = nxt
+            if x == a and y == b:
+                total += v
+                row = None
+                continue
+            if total:
+                out.append(row or (a, b, total))
+            row, a, b, total = nxt, x, y, v
+        if total:
+            out.append(row or (a, b, total))
+    return tuple(out)
+
+
+def int_rows(value, width: int, field: str, shape: str, row_shape: str) -> list:
+    """``value`` if it is a list of ``width``-integer lists, else SchemaError."""
+    if not isinstance(value, list):
+        raise SchemaError(field, f"expected {shape}")
+    for k, row in enumerate(value):
+        if (
+            not isinstance(row, list)
+            or len(row) != width
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in row)
+        ):
+            raise SchemaError(f"{field}[{k}]", f"expected {row_shape}")
+    return value
+
+
+def row_value(rows: tuple, key: tuple) -> int:
+    """The value stored under ``key`` in canonical rows, or 0."""
+    i = bisect_left(rows, key)
+    return rows[i][-1] if i < len(rows) and rows[i][:-1] == key else 0
+
+
+def _clean_items(rows: Iterable[Sequence], width: int, what: str) -> tuple:
+    rows = tuple(rows)
+    for row in rows:
+        if not isinstance(row[-1], int):
+            raise ValueError(f"{what} values must be integers, got {row[-1]!r}")
+    merged = merge_rows(rows, width)
+    for row in merged:
+        if row[-1] < 0:
+            key = row[0] if width == 2 else row[:-1]
+            raise ValueError(f"{what} at {key} is negative ({row[-1]})")
+    return merged
 
 
 @dataclass(frozen=True)
@@ -180,7 +243,7 @@ class GradedDims:
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _clean_items(self.entries, "dimension"))
+        object.__setattr__(self, "entries", _clean_items(self.entries, 2, "dimension"))
 
     @staticmethod
     def from_mapping(mapping: Mapping[int, int]) -> "GradedDims":
@@ -191,10 +254,7 @@ class GradedDims:
         return GradedDims(tuple(enumerate(dims)))
 
     def get(self, degree: int) -> int:
-        for d, v in self.entries:
-            if d == degree:
-                return v
-        return 0
+        return row_value(self.entries, (degree,))
 
     def items(self) -> tuple[tuple[int, int], ...]:
         return self.entries
@@ -234,17 +294,14 @@ class UnivariatePolynomial:
     terms: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _clean_items(self.terms, "coefficient"))
+        object.__setattr__(self, "terms", _clean_items(self.terms, 2, "coefficient"))
 
     @staticmethod
     def from_mapping(mapping: Mapping[int, int]) -> "UnivariatePolynomial":
         return UnivariatePolynomial(tuple(mapping.items()))
 
     def coefficient(self, exponent: int) -> int:
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return 0
+        return row_value(self.terms, (exponent,))
 
     def evaluate(self, x: int) -> int:
         return sum(c * x**e for e, c in self.terms)
@@ -283,18 +340,14 @@ class BivariatePolynomial:
     terms: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
-        cleaned = _clean_items((((i, j), c) for i, j, c in self.terms), "coefficient")
-        object.__setattr__(self, "terms", tuple((i, j, c) for (i, j), c in cleaned))
+        object.__setattr__(self, "terms", _clean_items(self.terms, 3, "coefficient"))
 
     @staticmethod
     def from_mapping(mapping: Mapping[tuple[int, int], int]) -> "BivariatePolynomial":
         return BivariatePolynomial(tuple((i, j, c) for (i, j), c in mapping.items()))
 
     def coefficient(self, i: int, j: int) -> int:
-        for p, q, c in self.terms:
-            if (p, q) == (i, j):
-                return c
-        return 0
+        return row_value(self.terms, (i, j))
 
     def coefficients(self) -> dict[tuple[int, int], int]:
         return {(i, j): c for i, j, c in self.terms}
@@ -312,15 +365,15 @@ class BivariatePolynomial:
         which happens exactly when substituting v -> 1/t into a term with
         weight exceeding topological degree.
         """
-        out: dict[int, int] = {}
+        rows = []
         for i, j, c in self.terms:
             e = eu * i + ev * j
             if e < 0:
                 raise NegativeExponent(
                     f"term u^{i} v^{j} maps to negative exponent {e}"
                 )
-            out[e] = out.get(e, 0) + c
-        return UnivariatePolynomial.from_mapping(out)
+            rows.append((e, c))
+        return UnivariatePolynomial(tuple(rows))
 
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         return BivariatePolynomial(self.terms + other.terms)
@@ -330,18 +383,9 @@ class BivariatePolynomial:
 
     @staticmethod
     def from_json(data, field: str = "hodge") -> "BivariatePolynomial":
-        if not isinstance(data, list):
-            raise SchemaError(field, "expected a list of [p, q, coefficient] triples")
-        terms = []
-        for k, row in enumerate(data):
-            if (
-                not isinstance(row, list)
-                or len(row) != 3
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in row)
-            ):
-                raise SchemaError(f"{field}[{k}]", "expected [p, q, coefficient] integers")
-            terms.append(tuple(row))
-        return BivariatePolynomial(tuple(terms))
+        shape = "[p, q, coefficient]"
+        int_rows(data, 3, field, f"a list of {shape} triples", f"{shape} integers")
+        return BivariatePolynomial(tuple(data))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -365,17 +409,6 @@ class BivariatePolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _merge_keys(entries, what: str) -> tuple[tuple[int, int, int], ...]:
-    merged: dict[tuple[int, int], int] = {}
-    for a, b, mult in entries:
-        if mult <= 0:
-            raise NegativeMultiplicity(
-                f"{what} summand at ({a}, {b}) has multiplicity {mult}"
-            )
-        merged[(a, b)] = merged.get((a, b), 0) + mult
-    return tuple((a, b, m) for (a, b), m in sorted(merged.items()))
-
-
 @dataclass(frozen=True)
 class NormalFormModule:
     """Two multiplicity maps: free summands at (p, q), antipodal at (r, n).
@@ -389,8 +422,14 @@ class NormalFormModule:
     antipodal: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "free", _merge_keys(self.free, "free"))
-        object.__setattr__(self, "antipodal", _merge_keys(self.antipodal, "antipodal"))
+        for part in ("free", "antipodal"):
+            rows = tuple(getattr(self, part))
+            for a, b, mult in rows:
+                if mult <= 0:
+                    raise NegativeMultiplicity(
+                        f"{part} summand at ({a}, {b}) has multiplicity {mult}"
+                    )
+            object.__setattr__(self, part, merge_rows(rows, 3))
 
     # -- construction -------------------------------------------------------
 
@@ -420,10 +459,10 @@ class NormalFormModule:
         return {(r, n): m for r, n, m in self.antipodal}
 
     def free_rank(self, p: int, q: int) -> int:
-        return self.free_map().get((p, q), 0)
+        return row_value(self.free, (p, q))
 
     def antipodal_rank(self, r: int, n: int) -> int:
-        return self.antipodal_map().get((r, n), 0)
+        return row_value(self.antipodal, (r, n))
 
     @property
     def total_free(self) -> int:
@@ -484,24 +523,12 @@ class NormalFormModule:
     def from_json_dict(data, cw: bool = True, field: str = "module") -> "NormalFormModule":
         if not isinstance(data, dict):
             raise SchemaError(field, "expected an object with 'free' and 'antipodal'")
-        rows: dict[str, list] = {}
-        for part in ("free", "antipodal"):
-            value = data.get(part, [])
-            if not isinstance(value, list):
-                raise SchemaError(f"{field}.{part}", "expected a list of triples")
-            for k, row in enumerate(value):
-                if (
-                    not isinstance(row, list)
-                    or len(row) != 3
-                    or not all(
-                        isinstance(x, int) and not isinstance(x, bool) for x in row
-                    )
-                ):
-                    raise SchemaError(
-                        f"{field}.{part}[{k}]", "expected three integers [a, b, mult]"
-                    )
-            rows[part] = [tuple(row) for row in value]
-        return make_module(rows["free"], rows["antipodal"], cw=cw)
+        shape, row_shape = "a list of triples", "three integers [a, b, mult]"
+        free, antipodal = (
+            int_rows(data.get(part, []), 3, f"{field}.{part}", shape, row_shape)
+            for part in ("free", "antipodal")
+        )
+        return make_module(free, antipodal, cw=cw)
 
     def summands(self) -> list[str]:
         """Human-readable summand labels in canonical order."""

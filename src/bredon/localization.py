@@ -27,7 +27,10 @@ from .algebra import (
     GradedDims,
     NormalFormModule,
     UnivariatePolynomial,
+    int_rows,
+    merge_rows,
     rank_polynomial,
+    row_value,
 )
 from .exceptions import SchemaError
 
@@ -55,20 +58,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _merge_pairs(pairs):
-    merged: dict[int, int] = {}
-    for d, c in pairs:
-        merged[d] = merged.get(d, 0) + c
-    return tuple(sorted((d, c) for d, c in merged.items() if c))
-
-
-def _merge_triples(triples):
-    merged: dict[tuple[int, int], int] = {}
-    for a, b, c in triples:
-        merged[(a, b)] = merged.get((a, b), 0) + c
-    return tuple((a, b, c) for (a, b), c in sorted(merged.items()) if c)
-
-
 @dataclass(frozen=True)
 class C2GradedSpace:
     """A graded F2-space with involution: trivial lines and regular summands.
@@ -83,26 +72,24 @@ class C2GradedSpace:
     regular: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "trivial", _merge_pairs(self.trivial))
-        object.__setattr__(self, "regular", _merge_pairs(self.regular))
+        object.__setattr__(self, "trivial", merge_rows(self.trivial, 2))
+        object.__setattr__(self, "regular", merge_rows(self.regular, 2))
 
     def trivial_count(self, degree: int) -> int:
-        return dict(self.trivial).get(degree, 0)
+        return row_value(self.trivial, (degree,))
 
     def regular_count(self, degree: int) -> int:
-        return dict(self.regular).get(degree, 0)
+        return row_value(self.regular, (degree,))
 
     def dimension(self, degree: int) -> int:
         return self.trivial_count(degree) + 2 * self.regular_count(degree)
 
     def dims(self) -> GradedDims:
-        return GradedDims(self.trivial) + GradedDims(
-            tuple((d, 2 * c) for d, c in self.regular)
-        )
+        return GradedDims(self.trivial + tuple((d, 2 * c) for d, c in self.regular))
 
     def fixed_dims(self) -> GradedDims:
         """Dimensions of the involution-fixed subspace, degree by degree."""
-        return GradedDims(self.trivial) + GradedDims(self.regular)
+        return GradedDims(self.trivial + self.regular)
 
     def total_dimension(self) -> int:
         return self.dims().total()
@@ -132,8 +119,8 @@ class BorelModule:
     torsion: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "free", _merge_pairs(self.free))
-        object.__setattr__(self, "torsion", _merge_triples(self.torsion))
+        object.__setattr__(self, "free", merge_rows(self.free, 2))
+        object.__setattr__(self, "torsion", merge_rows(self.torsion, 3))
 
     @property
     def torsion_orders(self) -> tuple[int, ...]:
@@ -155,23 +142,13 @@ class BorelModule:
     def from_json_dict(data, field_name: str = "borel") -> "BorelModule":
         if not isinstance(data, dict):
             raise SchemaError(field_name, "expected an object with 'free' and 'torsion'")
-        free = data.get("free", [])
-        torsion = data.get("torsion", [])
-        for name, rows, width in (("free", free, 2), ("torsion", torsion, 3)):
-            if not isinstance(rows, list):
-                raise SchemaError(f"{field_name}.{name}", "expected a list")
-            for k, row in enumerate(rows):
-                if (
-                    not isinstance(row, list)
-                    or len(row) != width
-                    or not all(
-                        isinstance(x, int) and not isinstance(x, bool) for x in row
-                    )
-                ):
-                    raise SchemaError(
-                        f"{field_name}.{name}[{k}]", f"expected {width} integers"
-                    )
-        return BorelModule(tuple(tuple(r) for r in free), tuple(tuple(r) for r in torsion))
+        free, torsion = (
+            int_rows(
+                data.get(name, []), w, f"{field_name}.{name}", "a list", f"{w} integers"
+            )
+            for name, w in (("free", 2), ("torsion", 3))
+        )
+        return BorelModule(tuple(free), tuple(torsion))
 
     def summands(self) -> list[str]:
         out = []
@@ -201,8 +178,8 @@ class HomologyModule:
     opposite_grading: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "free", _merge_triples(self.free))
-        object.__setattr__(self, "antipodal", _merge_triples(self.antipodal))
+        object.__setattr__(self, "free", merge_rows(self.free, 3))
+        object.__setattr__(self, "antipodal", merge_rows(self.antipodal, 3))
 
 
 @dataclass(frozen=True)
@@ -334,16 +311,6 @@ def homology_dual(module: NormalFormModule) -> HomologyModule:
     )
 
 
-def _mirror_free(key: tuple[int, int], n: int) -> tuple[int, int]:
-    p, q = key
-    return (2 * n - p, n - q)
-
-
-def _mirror_antipodal(key: tuple[int, int], n: int) -> tuple[int, int]:
-    s, t = key
-    return (2 * n - s - t, t)
-
-
 def pd_symmetric(module: NormalFormModule, dimension: int) -> PdReport:
     """Check the duality mirror symmetries of both multiplicity maps.
 
@@ -352,17 +319,17 @@ def pd_symmetric(module: NormalFormModule, dimension: int) -> PdReport:
     """
     violations = []
     free = module.free_map()
-    for key, count in sorted(free.items()):
-        mirror = _mirror_free(key, dimension)
+    for p, q, count in module.free:
+        mirror = (2 * dimension - p, dimension - q)
         other = free.get(mirror, 0)
         if other != count:
-            violations.append(PdViolation("free", key, mirror, count, other))
+            violations.append(PdViolation("free", (p, q), mirror, count, other))
     anti = module.antipodal_map()
-    for key, count in sorted(anti.items()):
-        mirror = _mirror_antipodal(key, dimension)
+    for s, t, count in module.antipodal:
+        mirror = (2 * dimension - s - t, t)
         other = anti.get(mirror, 0)
         if other != count:
-            violations.append(PdViolation("antipodal", key, mirror, count, other))
+            violations.append(PdViolation("antipodal", (s, t), mirror, count, other))
     return PdReport(not violations, tuple(violations))
 
 
@@ -408,18 +375,21 @@ def real_manifold_validate(
                     "antipodal_span_strict", bad, f"fixed point forces r + n < {2 * n}"
                 )
             )
-        if connected and module.free_rank(0, 0) != 1:
+        if connected and (units := module.free_rank(0, 0)) != 1:
             failures.append(
                 ValidationFailure(
                     "unit_rank",
                     ((0, 0),),
                     f"connected with a fixed point forces one free summand at "
-                    f"(0, 0), found {module.free_rank(0, 0)}",
+                    f"(0, 0), found {units}",
                 )
             )
 
     if connected:
-        b0 = underlying_singular(module).dimension(0)
+        # underlying_singular(module).dimension(0): lines at p, and at r and r + n.
+        b0 = sum(m for p, _, m in module.free if p == 0) + sum(
+            m * ((r == 0) + (r + t == 0)) for r, t, m in module.antipodal
+        )
         if b0 != 1:
             failures.append(
                 ValidationFailure(

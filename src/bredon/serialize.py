@@ -15,8 +15,12 @@ from .exceptions import ParseError
 __all__ = ["canonical_dumps", "parse_json", "load_json_file"]
 
 
+# json.dumps builds a new encoder on every call with non-default separators.
+_ENCODE = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
+
+
 def canonical_dumps(data) -> str:
-    return json.dumps(data, separators=(",", ":"), ensure_ascii=True)
+    return _ENCODE(data)
 
 
 def parse_json(text: str, source: str = "<input>"):

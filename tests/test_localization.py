@@ -280,6 +280,27 @@ def test_real_manifold_validate_connected_checks():
     assert real_manifold_validate(sb1, 1, False, True).passed
 
 
+def connected_b0_fails(module):
+    report = real_manifold_validate(module, 4, False, True)
+    return any(f.condition == "connected_b0" for f in report.failures)
+
+
+def test_connected_b0_reads_underlying_singular_degree_zero(module_corpus):
+    # cw=False keys with negative shifts: antipodal (-2, 2) puts a line in
+    # degree 0 through r + n, and (2, -2) through r + n as well.
+    frees = ([], [(0, 0, 1)], [(0, 1, 1)], [(-1, -2, 1)], [(0, 0, 1), (0, 3, 1)])
+    antis = ([], [(-2, 2, 1)], [(2, -2, 1)], [(0, 0, 1)], [(-1, 1, 2)], [(0, -3, 1)])
+    negative = [make_module(f, a, cw=False) for f in frees for a in antis]
+    cases = [
+        make_module([(0, 0, 1)], [(0, 0, 1)]),  # A0[0]: a regular summand at 0
+        make_module([(0, 0, 2), (4, 2, 2)]),  # a doubled unit
+    ]
+    modules = list(module_corpus) + negative + cases
+    assert any(underlying_singular(m).dimension(0) == 1 for m in negative)
+    for m in modules:
+        assert connected_b0_fails(m) == (underlying_singular(m).dimension(0) != 1)
+
+
 def test_validation_exhaustive_not_fail_fast():
     bad = make_module([(0, 0, 2), (5, 4, 1)], [(0, 0, 1), (3, 4, 2)])
     report = real_manifold_validate(bad, 2, True, True)

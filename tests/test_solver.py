@@ -206,6 +206,37 @@ def test_soundness_of_returned_modules():
     assert checked > 0
 
 
+def test_one_underlying_singular_per_candidate(monkeypatch):
+    """The re-check computes singular cohomology once per candidate."""
+    import bredon.localization
+    import bredon.solver
+
+    counts = {"singular": 0, "candidates": 0}
+    singular = bredon.localization.underlying_singular
+    recheck = bredon.solver.satisfies_constraints
+
+    def counted_singular(module):
+        counts["singular"] += 1
+        return singular(module)
+
+    def counted_recheck(cs, module):
+        counts["candidates"] += 1
+        return recheck(cs, module)
+
+    for namespace in (bredon.localization, bredon.solver):
+        monkeypatch.setattr(namespace, "underlying_singular", counted_singular)
+    monkeypatch.setattr(bredon.solver, "satisfies_constraints", counted_recheck)
+    cs = ConstraintSet(
+        dimension=2,
+        betti_total=GradedDims.from_list([1, 0, 6, 0, 1]),
+        has_fixed_point=True,
+        connected=True,
+        poincare_dual=True,
+    )
+    enumerate_decompositions(cs)
+    assert counts == {"singular": 10, "candidates": 10}
+
+
 def test_determinism():
     cs = k3_constraints()
     first = enumerate_decompositions(cs)
