@@ -3,12 +3,16 @@
 Exit codes: 0 on success, 1 when a requested check fails (the report is
 still emitted), 2 on malformed input (parse errors, schema errors, unknown
 catalog names or parameters, infeasible constraint data).
+
+``--format json`` never builds table text: each verb hands ``_emit`` a
+function that renders its table, called only under ``--format table``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 
 from .algebra import BivariatePolynomial, NormalFormModule, rank_polynomial
@@ -206,11 +210,12 @@ def render_rank_lattice(module: NormalFormModule) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, json_payload, table_text: str):
+def _emit(args, json_payload, table: Callable[[], str]):
+    """Print the payload as canonical JSON, or the text ``table()`` renders."""
     if getattr(args, "format", "table") == "json":
         print(canonical_dumps(json_payload))
     else:
-        print(table_text)
+        print(table())
 
 
 def _resolve_dim(args, entry) -> int:
@@ -226,16 +231,19 @@ def _run(args) -> int:
 
     if verb == "catalog":
         listing = catalog_list()
-        table = "\n".join(
-            entry["name"]
-            + (
-                " (" + ", ".join(p["name"] for p in entry["parameters"]) + ")"
-                if entry["parameters"]
-                else ""
-            )
-            for entry in listing
+        _emit(
+            args,
+            listing,
+            lambda: "\n".join(
+                entry["name"]
+                + (
+                    " (" + ", ".join(p["name"] for p in entry["parameters"]) + ")"
+                    if entry["parameters"]
+                    else ""
+                )
+                for entry in listing
+            ),
         )
-        _emit(args, listing, table)
         return 0
 
     if verb in ("solve", "predict"):
@@ -257,49 +265,58 @@ def _run(args) -> int:
             "krasnov": krasnov_predict(constraints).to_json_dict(),
             "threefold": threefold_predict(constraints).to_json_dict(),
         }
-        table = "\n".join(
-            f"{name}: "
-            + ("predicts GM" if info["applicable"] else "not applicable")
-            for name, info in payload.items()
+        _emit(
+            args,
+            payload,
+            lambda: "\n".join(
+                f"{name}: "
+                + ("predicts GM" if info["applicable"] else "not applicable")
+                for name, info in payload.items()
+            ),
         )
-        _emit(args, payload, table)
         return 0
 
     entry, module = _load_entry_and_module(args)
 
     if verb == "show":
-        _emit(args, module.to_json_dict(), render_rank_lattice(module))
+        _emit(args, module.to_json_dict(), lambda: render_rank_lattice(module))
         return 0
 
     if verb == "classify":
         klass = classify(module)
-        _emit(args, {"class": klass.value}, klass.value)
+        _emit(args, {"class": klass.value}, lambda: klass.value)
         return 0
 
     if verb == "report":
         ledger = smith_thom_report(module)
+        fixed = rho_localize(module)
+        borel = tau_localize(module)
+        singular = underlying_singular(module)
+        image = forgetful_image_dims(module)
         payload = {
             "class": ledger.klass.value,
             "smith_thom": ledger.to_json_dict(),
-            "fixed_betti": _dims_json(rho_localize(module)),
+            "fixed_betti": _dims_json(fixed),
             "rank_polynomial": rank_polynomial(module).to_json(),
-            "borel": tau_localize(module).to_json_dict(),
-            "singular": underlying_singular(module).to_json_dict(),
-            "forgetful_image": _dims_json(forgetful_image_dims(module)),
+            "borel": borel.to_json_dict(),
+            "singular": singular.to_json_dict(),
+            "forgetful_image": _dims_json(image),
         }
-        singular = underlying_singular(module)
-        table = "\n".join(
-            [
-                f"class: {ledger.klass.value}",
-                f"totals: fixed {ledger.fixed_total} <= group cohomology "
-                f"{ledger.group_cohomology_total} <= singular {ledger.singular_total}",
-                _dims_table(rho_localize(module), "fixed Betti"),
-                _dims_table(singular.dims(), "singular Betti"),
-                _dims_table(forgetful_image_dims(module), "forgetful image"),
-                f"borel: {tau_localize(module)}",
-            ]
+        _emit(
+            args,
+            payload,
+            lambda: "\n".join(
+                [
+                    f"class: {ledger.klass.value}",
+                    f"totals: fixed {ledger.fixed_total} <= group cohomology "
+                    f"{ledger.group_cohomology_total} <= singular {ledger.singular_total}",
+                    _dims_table(fixed, "fixed Betti"),
+                    _dims_table(singular.dims(), "singular Betti"),
+                    _dims_table(image, "forgetful image"),
+                    f"borel: {borel}",
+                ]
+            ),
         )
-        _emit(args, payload, table)
         return 0
 
     if verb == "fixed":
@@ -308,49 +325,57 @@ def _run(args) -> int:
         _emit(
             args,
             {"betti": _dims_json(dims), "poincare_polynomial": str(poly)},
-            _dims_table(dims, "fixed Betti") + f"\nP(t) = {poly}",
+            lambda: _dims_table(dims, "fixed Betti") + f"\nP(t) = {poly}",
         )
         return 0
 
     if verb == "borel":
         borel = tau_localize(module)
-        _emit(args, borel.to_json_dict(), str(borel))
+        _emit(args, borel.to_json_dict(), lambda: str(borel))
         return 0
 
     if verb == "singular":
         singular = underlying_singular(module)
+        group = group_cohomology_dims(singular)
         payload = singular.to_json_dict()
-        payload["group_cohomology"] = _dims_json(group_cohomology_dims(singular))
-        table = "\n".join(
-            [
-                _dims_table(singular.dims(), "singular Betti"),
-                _dims_table(singular.fixed_dims(), "involution-fixed"),
-                _dims_table(group_cohomology_dims(singular), "group cohomology H^1"),
-            ]
+        payload["group_cohomology"] = _dims_json(group)
+        _emit(
+            args,
+            payload,
+            lambda: "\n".join(
+                [
+                    _dims_table(singular.dims(), "singular Betti"),
+                    _dims_table(singular.fixed_dims(), "involution-fixed"),
+                    _dims_table(group, "group cohomology H^1"),
+                ]
+            ),
         )
-        _emit(args, payload, table)
         return 0
 
     if verb == "image":
         dims = forgetful_image_dims(module)
-        _emit(args, _dims_json(dims), _dims_table(dims, "forgetful image"))
+        _emit(args, _dims_json(dims), lambda: _dims_table(dims, "forgetful image"))
         return 0
 
     if verb == "rankpoly":
         poly = rank_polynomial(module)
-        _emit(args, poly.to_json(), f"R(u,v) = {poly}")
+        _emit(args, poly.to_json(), lambda: f"R(u,v) = {poly}")
         return 0
 
     if verb == "pd-check":
         dim = _resolve_dim(args, entry)
         report = pd_symmetric(module, dim)
-        table_lines = [f"duality symmetry at n={dim}: " + ("holds" if report.holds else "FAILS")]
-        for v in report.violations:
-            table_lines.append(
-                f"  {v.part} {v.key} has multiplicity {v.count} but mirror "
-                f"{v.mirror} has {v.mirror_count}"
-            )
-        _emit(args, report.to_json_dict(), "\n".join(table_lines))
+
+        def table() -> str:
+            lines = [f"duality symmetry at n={dim}: " + ("holds" if report.holds else "FAILS")]
+            for v in report.violations:
+                lines.append(
+                    f"  {v.part} {v.key} has multiplicity {v.count} but mirror "
+                    f"{v.mirror} has {v.mirror_count}"
+                )
+            return "\n".join(lines)
+
+        _emit(args, report.to_json_dict(), table)
         return 0 if report.holds else 1
 
     if verb == "validate":
@@ -362,14 +387,18 @@ def _run(args) -> int:
         if connected is None:
             connected = entry.connected if entry else False
         report = real_manifold_validate(module, dim, fixed_point, connected)
-        table_lines = [
-            f"real-manifold restrictions at n={dim}: "
-            + ("all pass" if report.passed else "FAIL")
-        ]
-        for failure in report.failures:
-            keys = ", ".join(str(k) for k in failure.keys) or "-"
-            table_lines.append(f"  {failure.condition} [{keys}]: {failure.detail}")
-        _emit(args, report.to_json_dict(), "\n".join(table_lines))
+
+        def table() -> str:
+            lines = [
+                f"real-manifold restrictions at n={dim}: "
+                + ("all pass" if report.passed else "FAIL")
+            ]
+            for failure in report.failures:
+                keys = ", ".join(str(k) for k in failure.keys) or "-"
+                lines.append(f"  {failure.condition} [{keys}]: {failure.detail}")
+            return "\n".join(lines)
+
+        _emit(args, report.to_json_dict(), table)
         return 0 if report.passed else 1
 
     if verb == "hodge":
@@ -387,12 +416,13 @@ def _run(args) -> int:
         expressive = hodge_expressive_check(module, hodge, torsion_free)
         birank = hodge_birank_check(module, hodge)
         payload = {"expressive": expressive, "birank": birank}
-        table = (
-            f"H(u,v) = {hodge}\n"
+        _emit(
+            args,
+            payload,
+            lambda: f"H(u,v) = {hodge}\n"
             f"hodge-expressive: {'yes' if expressive else 'no'}\n"
-            f"rank-level match: {'yes' if birank else 'no'}"
+            f"rank-level match: {'yes' if birank else 'no'}",
         )
-        _emit(args, payload, table)
         return 0
 
     raise AssertionError(f"unhandled verb {verb}")

@@ -10,7 +10,9 @@ forgetful maps, so every operation here is a per-summand bookkeeping rule:
   antipodal summand at (r, n) to the truncation F2[z]/(z^{n+1}) shifted by r;
 * the underlying singular cohomology keeps one trivial line per free
   summand, one regular (swapped-basis) summand per antipodal 0-sphere, and a
-  pair of trivial lines in degrees r and r + n for n > 0;
+  pair of trivial lines in degrees r and r + n for n > 0; ``singular_betti``
+  reads its Betti numbers, ``underlying_singular(m).dims()``, directly off
+  the summands with one merge;
 * the forgetful map hits exactly one line per summand, at its shift degree.
 
 Poincare duality for a compact Real n-manifold mirrors the free multiplicity
@@ -46,6 +48,7 @@ __all__ = [
     "fixed_poincare_polynomial",
     "tau_localize",
     "underlying_singular",
+    "singular_betti",
     "forgetful_image_dims",
     "homology_dual",
     "pd_symmetric",
@@ -284,6 +287,24 @@ def underlying_singular(module: NormalFormModule) -> C2GradedSpace:
             trivial.append((r, m))
             trivial.append((r + n, m))
     return C2GradedSpace(tuple(trivial), tuple(regular))
+
+
+def singular_betti(module: NormalFormModule) -> GradedDims:
+    """Betti numbers of the underlying singular cohomology.
+
+    Equal to ``underlying_singular(module).dims()``, built with one merge:
+    a free summand at (p, q) gives a line in degree p, an antipodal 0-sphere
+    at r a regular summand (two lines) in degree r, and an antipodal n-sphere
+    at r, n > 0, a line in degree r and one in degree r + n.
+    """
+    rows = [(p, m) for p, _, m in module.free]
+    for r, n, m in module.antipodal:
+        if n == 0:
+            rows.append((r, 2 * m))
+        else:
+            rows.append((r, m))
+            rows.append((r + n, m))
+    return GradedDims(rows)
 
 
 def forgetful_image_dims(module: NormalFormModule) -> GradedDims:

@@ -48,7 +48,7 @@ from .localization import (
     forgetful_image_dims,
     real_manifold_validate,
     rho_localize,
-    underlying_singular,
+    singular_betti,
 )
 
 __all__ = [
@@ -187,7 +187,7 @@ class ConstraintSet:
 def satisfies_constraints(cs: ConstraintSet, module: NormalFormModule) -> bool:
     """Re-check a module against every constraint via the public operations."""
     n = cs.dimension
-    if underlying_singular(module).dims() != cs.betti_total:
+    if singular_betti(module) != cs.betti_total:
         return False
     if cs.betti_fixed is not None and rho_localize(module) != cs.betti_fixed:
         return False

@@ -17,6 +17,8 @@ from bredon import (
     NegativeMultiplicity,
     NormalFormModule,
     UnivariatePolynomial,
+    singular_betti,
+    underlying_singular,
 )
 
 # ---------------------------------------------------------------------------
@@ -193,3 +195,11 @@ def test_rank_reads_match_the_maps(free, antipodal):
         for q in range(-4, 5):
             assert m.free_rank(p, q) == m.free_map().get((p, q), 0)
             assert m.antipodal_rank(p, q) == m.antipodal_map().get((p, q), 0)
+
+
+@given(triples, triples)
+def test_singular_betti_matches_underlying_singular(free, antipodal):
+    free = [(a, b, abs(int(m)) + 1) for a, b, m in free]
+    antipodal = [(a, b, abs(int(m)) + 1) for a, b, m in antipodal]
+    m = NormalFormModule(tuple(free), tuple(antipodal))
+    assert_same((singular_betti(m).entries,), (underlying_singular(m).dims().entries,))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bredon import ConstraintSet, GradedDims, catalog_get
 from bredon.cli import main
 from bredon.serialize import canonical_dumps
@@ -249,3 +251,35 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     module_file.write_text('{"free":[[0,0,1]],"antipodal":[]}')
     code, _, err = run(capsys, "pd-check", "--module", str(module_file))
     assert code == 2 and "SCHEMA_ERROR" in err and "dim" in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_report_computes_each_localization_once(monkeypatch, capsys, fmt):
+    import bredon.cli
+
+    counts = {}
+
+    def counted(name):
+        fn = getattr(bredon.cli, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(bredon.cli, name, wrapper)
+
+    localizations = (
+        "underlying_singular",
+        "rho_localize",
+        "tau_localize",
+        "forgetful_image_dims",
+    )
+    for name in localizations + ("_dims_table",):
+        counted(name)
+    code, out, _ = run(capsys, "report", "--catalog", "k3", "--param", "b_star=4",
+                       "--param", "chi=4", "--format", fmt)
+    assert code == 0 and out
+    for name in localizations:
+        assert counts[name] == 1, name
+    # the table renders fixed Betti, singular Betti and forgetful image rows
+    assert counts.get("_dims_table", 0) == (3 if fmt == "table" else 0)

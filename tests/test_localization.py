@@ -12,6 +12,7 @@ from bredon import (
     pd_symmetric,
     real_manifold_validate,
     rho_localize,
+    singular_betti,
     suspend,
     tau_localize,
     underlying_singular,
@@ -285,12 +286,19 @@ def connected_b0_fails(module):
     return any(f.condition == "connected_b0" for f in report.failures)
 
 
-def test_connected_b0_reads_underlying_singular_degree_zero(module_corpus):
-    # cw=False keys with negative shifts: antipodal (-2, 2) puts a line in
-    # degree 0 through r + n, and (2, -2) through r + n as well.
+def negative_shift_modules():
+    """30 cw=False modules with negative shifts.
+
+    Antipodal (-2, 2) puts a line in degree 0 through r + n, and (2, -2)
+    through r + n as well.
+    """
     frees = ([], [(0, 0, 1)], [(0, 1, 1)], [(-1, -2, 1)], [(0, 0, 1), (0, 3, 1)])
     antis = ([], [(-2, 2, 1)], [(2, -2, 1)], [(0, 0, 1)], [(-1, 1, 2)], [(0, -3, 1)])
-    negative = [make_module(f, a, cw=False) for f in frees for a in antis]
+    return [make_module(f, a, cw=False) for f in frees for a in antis]
+
+
+def test_connected_b0_reads_underlying_singular_degree_zero(module_corpus):
+    negative = negative_shift_modules()
     cases = [
         make_module([(0, 0, 1)], [(0, 0, 1)]),  # A0[0]: a regular summand at 0
         make_module([(0, 0, 2), (4, 2, 2)]),  # a doubled unit
@@ -317,3 +325,11 @@ def test_graded_dims_helpers():
     assert dims.shift(2).items() == ((2, 1), (4, 3))
     assert GradedDims.from_list([0, 0, 5]).items() == ((2, 5),)
     assert dims.alternating_sum() == 4
+
+
+def test_singular_betti_is_underlying_singular_dims(module_corpus):
+    negative = negative_shift_modules()
+    assert len(negative) == 30
+    assert any(d < 0 for m in negative for d in singular_betti(m).support())
+    for m in list(module_corpus) + negative:
+        assert singular_betti(m) == underlying_singular(m).dims()

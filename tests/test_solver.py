@@ -206,26 +206,31 @@ def test_soundness_of_returned_modules():
     assert checked > 0
 
 
-def test_one_underlying_singular_per_candidate(monkeypatch):
-    """The re-check computes singular cohomology once per candidate."""
+def test_one_singular_computation_per_candidate(monkeypatch):
+    """The re-check computes the singular Betti numbers once per candidate,
+    through singular_betti, and never builds the whole singular space."""
+    import sys
+
     import bredon.localization
     import bredon.solver
 
-    counts = {"singular": 0, "candidates": 0}
-    singular = bredon.localization.underlying_singular
+    counts = {"singular_betti": 0, "underlying_singular": 0, "candidates": 0}
     recheck = bredon.solver.satisfies_constraints
 
-    def counted_singular(module):
-        counts["singular"] += 1
-        return singular(module)
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
 
-    def counted_recheck(cs, module):
-        counts["candidates"] += 1
-        return recheck(cs, module)
+        return wrapper
 
-    for namespace in (bredon.localization, bredon.solver):
-        monkeypatch.setattr(namespace, "underlying_singular", counted_singular)
-    monkeypatch.setattr(bredon.solver, "satisfies_constraints", counted_recheck)
+    for name in ("singular_betti", "underlying_singular"):
+        original = getattr(bredon.localization, name)
+        wrapper = counted(name, original)
+        for key, namespace in list(sys.modules.items()):
+            if key.partition(".")[0] == "bredon" and vars(namespace).get(name) is original:
+                monkeypatch.setattr(namespace, name, wrapper)
+    monkeypatch.setattr(bredon.solver, "satisfies_constraints", counted("candidates", recheck))
     cs = ConstraintSet(
         dimension=2,
         betti_total=GradedDims.from_list([1, 0, 6, 0, 1]),
@@ -234,7 +239,7 @@ def test_one_underlying_singular_per_candidate(monkeypatch):
         poincare_dual=True,
     )
     enumerate_decompositions(cs)
-    assert counts == {"singular": 10, "candidates": 10}
+    assert counts == {"singular_betti": 10, "underlying_singular": 0, "candidates": 10}
 
 
 def test_determinism():
