@@ -155,6 +155,8 @@ def _parse_params(raw: list[str]) -> dict[str, int]:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise SchemaError("param", f"expected K=V, got {item!r}")
+        if key in params:
+            raise SchemaError("param", f"{key} given more than once")
         try:
             params[key] = int(value)
         except ValueError:

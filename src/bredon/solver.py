@@ -19,11 +19,13 @@ to higher degrees and to the fixed locus must stay within their budgets.
 Keys the forgetful or class rules forbid are never offered.  A budget that
 no later orbit can charge must already be spent.
 
-**Memoized state DAG.**  What can still happen after degree d depends only
-on the key ``(d, units left in degrees >= d, fixed units used)``.  Each key
-is expanded once; the memo keeps, per key, the choices at its degree that
-lead to a completion, with the key they lead to, and drops dead keys.  The
-modules are then read off the paths of that DAG.
+**Memoized state DAG.**  Every exact-sum budget is one entry of a single
+list: the singular Betti numbers of degrees 0..2n, then, when given, the
+fixed-locus ones (fixed degree f at index 2n + 1 + f).  What can still
+happen after degree d depends only on the key ``(d, budgets from index d
+on)``.  Each key is expanded once; the memo keeps, per key, the choices at
+its degree that lead to a completion, with the key they lead to, and drops
+dead keys.  The modules are then read off the paths of that DAG.
 
 **Exact-sum pruning.**  Within a degree, a bitset per orbit slot holds the
 unit counts the later slots can absorb under upper-bound caps, and a
@@ -38,6 +40,7 @@ depend on exploration order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,6 +62,11 @@ __all__ = [
     "krasnov_predict",
     "threefold_predict",
 ]
+
+
+_CONSTRAINT_KEYS = ("n", "betti_total", "betti_fixed", "has_fixed_point", "connected",
+                    "poincare_dual", "forgetful_onto_degrees", "class_filter")
+_KIND_NAMES = {int: "a nonnegative integer", bool: "a boolean", list: "a list", str: "a string"}
 
 
 @dataclass(frozen=True)
@@ -127,8 +135,11 @@ class ConstraintSet:
     def from_json_dict(data, field: str = "constraints") -> "ConstraintSet":
         if not isinstance(data, dict):
             raise SchemaError(field, "expected an object")
+        for key in data:
+            if key not in _CONSTRAINT_KEYS:
+                raise SchemaError(f"{field}.{key}", "unknown field")
 
-        def require(key, kinds, allow_none=False):
+        def require(key, kind, allow_none=False):
             if key not in data:
                 if allow_none:
                     return None
@@ -136,12 +147,12 @@ class ConstraintSet:
             value = data[key]
             if value is None and allow_none:
                 return None
-            if not isinstance(value, kinds) or isinstance(value, bool) and kinds is int:
-                raise SchemaError(f"{field}.{key}", f"expected {kinds}")
+            if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+                raise SchemaError(f"{field}.{key}", f"expected {_KIND_NAMES[kind]}")
             return value
 
         n = require("n", int)
-        if isinstance(n, bool) or n < 0:
+        if n < 0:
             raise SchemaError(f"{field}.n", "expected a nonnegative integer")
 
         def betti_list(key, allow_none):
@@ -157,8 +168,7 @@ class ConstraintSet:
         fixed = betti_list("betti_fixed", allow_none=True)
 
         def flag(key):
-            value = require(key, bool, allow_none=True)
-            return bool(value)
+            return bool(require(key, bool, allow_none=True))
 
         forgetful = require("forgetful_onto_degrees", list, allow_none=True)
         if forgetful is not None:
@@ -170,7 +180,10 @@ class ConstraintSet:
             forgetful = frozenset(forgetful)
 
         class_code = require("class_filter", str, allow_none=True)
-        class_filter = MaximalityClass.from_code(class_code) if class_code else None
+        try:
+            class_filter = None if class_code is None else MaximalityClass.from_code(class_code)
+        except SchemaError:
+            raise SchemaError(f"{field}.class_filter", f"unknown class code {class_code!r}")
 
         return ConstraintSet(
             dimension=n,
@@ -219,57 +232,39 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
                 f"betti_total has dimension {v} in degree {d}, outside [0, {top}]"
             )
 
-    fixed_target = None
+    budget = cs.betti_total.to_list(top)
     if cs.betti_fixed is not None:
         if any(d < 0 or d > top for d in cs.betti_fixed.support()):
             return []  # no key in the box reaches those fixed degrees
-        fixed_target = cs.betti_fixed.to_list(top)
+        budget += cs.betti_fixed.to_list(top)
 
-    table, closed_units, closed_fixed = _search_plan(
-        n,
-        cs.poincare_dual,
-        cs.has_fixed_point,
-        cs.forgetful_onto_degrees or frozenset(),
-        cs.class_filter,
+    table, closed = _search_plan(
+        n, cs.poincare_dual, cs.has_fixed_point, cs.betti_fixed is not None,
+        cs.forgetful_onto_degrees or frozenset(), cs.class_filter,
     )
 
     last = len(table) - 1
-    remaining = cs.betti_total.to_list(top)
-    used = None if fixed_target is None else [0] * (top + 1)
     # state key -> edges (free segment, antipodal segment, child key) that
     # lead to a completion; a dead state maps to [], the leaf's edge to None
     memo: dict[tuple, list] = {}
 
-    def state_key(d):
-        return (d, tuple(remaining[d:]), None if used is None else tuple(used))
-
     def cap_of(slot, r):
-        cost, others, fixed, _, _ = slot
+        cost, charges, _, _ = slot
         cap = r // cost
-        for e, k in others:
-            cap = min(cap, remaining[e] // k)
-        if used is not None:
-            for f, k in fixed:
-                cap = min(cap, (fixed_target[f] - used[f]) // k)
+        for e, k in charges:
+            cap = min(cap, budget[e] // k)
         return cap
 
     def charge(slot, c):
         for e, k in slot[1]:
-            remaining[e] -= c * k
-        if used is not None:
-            for f, k in slot[2]:
-                used[f] += c * k
+            budget[e] -= c * k
 
     def build(d):
-        if any(remaining[e] for e in closed_units[d]):
-            return []
-        if used is not None and any(
-            used[f] != fixed_target[f] for f in closed_fixed[d]
-        ):
+        if any(budget[e] for e in closed[d]):
             return []
         if d > last:
             return [((), (), None)]
-        total = remaining[d]
+        total = budget[d]
         # slots that can take a copy, and reach[i]: the bitset of the sums
         # slots i.. can absorb under today's caps
         slots = [slot for slot in table[d] if cap_of(slot, total)]
@@ -288,7 +283,7 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
 
         def fill(i, r):
             if i == len(slots):
-                child = state_key(d + 1)
+                child = (d + 1, tuple(budget[d + 1:]))
                 alive = memo.get(child)
                 if alive is None:
                     alive = memo[child] = build(d + 1)
@@ -296,7 +291,7 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
                     edges.append((tuple(free_seg), tuple(anti_seg), child))
                 return
             slot = slots[i]
-            cost, _, _, free_keys, anti_keys = slot
+            cost, _, free_keys, anti_keys = slot
             below = reach[i + 1]
             for c in range(cap_of(slot, r) + 1):
                 rest = r - c * cost
@@ -315,7 +310,7 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
         fill(0, total)
         return edges
 
-    root = state_key(0)
+    root = (0, tuple(budget))
     memo[root] = build(0)
     results: list[NormalFormModule] = []
 
@@ -334,16 +329,17 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
 
 
 @lru_cache(maxsize=64)
-def _search_plan(n, poincare_dual, has_fixed_point, forgetful, klass):
+def _search_plan(n, poincare_dual, has_fixed_point, fixed_given, forgetful, klass):
     """The orbit slots per degree, and the budgets closed at each degree.
 
-    Degrees 0..last are walked, last = n under duality and 2n otherwise.  A
-    slot is ``(cost, others, fixed, free_keys, antipodal_keys)``: the units
-    one copy of the orbit uses at its own degree, the units it uses at later
-    degrees and the fixed-locus units it uses, each as (degree, units)
-    pairs, and the keys it sets.  Keys the forgetful or class rules forbid
-    are left out.  ``closed_units[d]`` and ``closed_fixed[d]`` list the
-    budgets that no slot at degree d or later charges.
+    Budget indices are those of the search's budget vector: degree e of the
+    singular Betti numbers at e, and, when ``fixed_given``, fixed degree f
+    at 2n + 1 + f.  Degrees 0..last are walked, last = n under duality and
+    2n otherwise.  A slot is ``(cost, charges, free_keys, antipodal_keys)``:
+    the units one copy of the orbit uses at its own degree, the (budget
+    index, units) pairs it charges elsewhere, and the keys it sets.  Keys
+    the forgetful or class rules forbid are left out.  ``closed[d]`` lists
+    the budgets that no slot at degree d or later charges.
     """
     top = 2 * n
     last = n if poincare_dual else top
@@ -355,12 +351,6 @@ def _search_plan(n, poincare_dual, has_fixed_point, forgetful, klass):
         if not poincare_dual or mirror == key:
             return (key,)
         return (key, mirror) if key < mirror else None
-
-    def tally(degrees):
-        counts: dict[int, int] = {}
-        for e in degrees:
-            counts[e] = counts.get(e, 0) + 1
-        return tuple(counts.items())
 
     table = []
     for d in range(last + 1):
@@ -378,23 +368,23 @@ def _search_plan(n, poincare_dual, has_fixed_point, forgetful, klass):
                     members.append(((), keys))
         slots = []
         for free_keys, anti_keys in members:
+            # the budget index of every unit one copy of the orbit uses
             units = [p for p, _ in free_keys]
             for r, t in anti_keys:
                 units += [r, r + t]
-            others = tally(e for e in units if e != d)
-            fixed = tally(p - q for p, q in free_keys)
-            slots.append((units.count(d), others, fixed, free_keys, anti_keys))
+            if fixed_given:
+                units += [top + 1 + p - q for p, q in free_keys]
+            charges = tuple(Counter(e for e in units if e != d).items())
+            slots.append((units.count(d), charges, free_keys, anti_keys))
         table.append(slots)
 
-    closed_units, closed_fixed = [], []
+    size = 2 * (top + 1) if fixed_given else top + 1
+    closed = []
     for d in range(last + 2):
-        later = [slot for slots in table[d:] for slot in slots]
-        units = {e for slot in later for e, _ in slot[1]}
-        units.update(e for e in range(d, last + 1) if table[e])
-        fixed = {f for slot in later for f, _ in slot[2]}
-        closed_units.append([e for e in range(d, top + 1) if e not in units])
-        closed_fixed.append([f for f in range(top + 1) if f not in fixed])
-    return table, closed_units, closed_fixed
+        charged = {e for slots in table[d:] for slot in slots for e, _ in slot[1]}
+        charged.update(e for e in range(d, last + 1) if table[e])
+        closed.append([e for e in range(d, size) if e not in charged])
+    return table, closed
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from bredon import ConstraintSet, GradedDims, catalog_get
 from bredon.cli import main
 from bredon.serialize import canonical_dumps
+
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def run(capsys, *argv):
@@ -233,6 +236,10 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
                        "--param", "r=5")
     assert code == 2 and "PARAMETER_RANGE" in err
 
+    code, out, err = run(capsys, "show", "--catalog", "curve", "--param", "g=3",
+                         "--param", "g=1", "--param", "r=1")
+    assert code == 2 and out == "" and "SCHEMA_ERROR" in err and "param" in err
+
     infeasible = tmp_path / "inf.json"
     cs = {"n": 1, "betti_total": [1, 0, 0, 7], "betti_fixed": None,
           "has_fixed_point": False, "connected": False, "poincare_dual": False,
@@ -245,6 +252,14 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     missing_field.write_text('{"n": 2}')
     code, _, err = run(capsys, "predict", "--constraints", str(missing_field))
     assert code == 2 and "SCHEMA_ERROR" in err and "betti_total" in err
+
+    # a misspelled key is an error, not a dropped condition
+    cubic = json.loads((DEMO_DATA / "cubic_s3_rp3.json").read_text())
+    cubic["poincare_duel"] = cubic.pop("poincare_dual")
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps(cubic))
+    code, out, err = run(capsys, "solve", "--constraints", str(typo))
+    assert code == 2 and out == "" and "SCHEMA_ERROR" in err and "poincare_duel" in err
 
     # a module file has no intrinsic dimension, so pd-check needs --dim
     module_file = tmp_path / "m.json"

@@ -9,6 +9,7 @@ from bredon import (
     GradedDims,
     InfeasibleBounds,
     MaximalityClass,
+    SchemaError,
     catalog_get,
     classify,
     enumerate_decompositions,
@@ -120,38 +121,60 @@ def test_completeness_against_brute_force():
     assert nonempty >= 10  # the comparison must not be vacuous
 
 
-def _box_constraints():
-    """Every constraint set of a small box, for the exhaustive sweep.
+def _box_constraints(boxes=((1, 3), (2, 2)), fixed_lists=(None,)):
+    """Every constraint set of a small box, for the exhaustive sweeps.
 
-    Dimensions 1 and 2; Betti entries up to 3 (n = 1) or 2 (n = 2) with
-    total 1..4; every duality and fixed-point flag, connectedness whenever
-    b0 = 1; every class filter.
+    For each ``(n, entry cap)`` box: Betti entries up to the cap with total
+    1..4; every fixed-locus Betti list of ``fixed_lists``; every duality and
+    fixed-point flag, connectedness whenever b0 = 1; every class filter.
+    Sets that ``ConstraintSet`` rejects are skipped.
     """
-    for n, entry_cap in ((1, 3), (2, 2)):
+    for n, entry_cap in boxes:
         for betti in itertools.product(range(entry_cap + 1), repeat=2 * n + 1):
             if not 1 <= sum(betti) <= 4:
                 continue
             for pd, fixed_point in itertools.product((False, True), repeat=2):
                 for connected in (False, True) if betti[0] == 1 else (False,):
-                    for class_filter in (None, M, GM, NEITHER):
-                        yield ConstraintSet(
-                            dimension=n,
-                            betti_total=GradedDims.from_list(betti),
-                            has_fixed_point=fixed_point,
-                            connected=connected,
-                            poincare_dual=pd,
-                            class_filter=class_filter,
-                        )
+                    for fixed in fixed_lists:
+                        for class_filter in (None, M, GM, NEITHER):
+                            try:
+                                cs = ConstraintSet(
+                                    dimension=n,
+                                    betti_total=GradedDims.from_list(betti),
+                                    betti_fixed=(
+                                        None if fixed is None
+                                        else GradedDims.from_list(fixed)
+                                    ),
+                                    has_fixed_point=fixed_point,
+                                    connected=connected,
+                                    poincare_dual=pd,
+                                    class_filter=class_filter,
+                                )
+                            except ConstraintViolation:
+                                continue
+                            yield cs
 
 
-def test_exhaustive_box_against_brute_force():
+def _sweep_against_brute_force(constraint_sets):
+    """(sets, nonempty sets), asserting the search equals the oracle on each."""
     cases = nonempty = 0
-    for cs in _box_constraints():
+    for cs in constraint_sets:
         fast = enumerate_decompositions(cs)
         assert fast == brute_force_decompositions(cs), cs.to_json_dict()
         cases += 1
         nonempty += bool(fast)
-    assert (cases, nonempty) == (2672, 1175)
+    return cases, nonempty
+
+
+def test_exhaustive_box_against_brute_force():
+    assert _sweep_against_brute_force(_box_constraints()) == (2672, 1175)
+
+
+def test_exhaustive_fixed_box_against_brute_force():
+    """n = 1 with every fixed-locus Betti list [a, b], a, b <= 2."""
+    fixed_lists = list(itertools.product(range(3), repeat=2))
+    sets = _box_constraints(boxes=((1, 3),), fixed_lists=fixed_lists)
+    assert _sweep_against_brute_force(sets) == (5576, 470)
 
 
 def _random_module_in_box(rng, n):
@@ -297,6 +320,34 @@ def test_json_round_trip():
     again = ConstraintSet.from_json_dict(data)
     assert again == cs
     assert canonical_dumps(again.to_json_dict()) == canonical_dumps(data)
+
+
+def _k3_json(**changes):
+    data = k3_constraints().to_json_dict()
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("data, field, message", [
+    (_k3_json(betti_total=None), "constraints.betti_total", "expected a list"),
+    ({"n": 2}, "constraints.betti_total", "missing required field"),
+    (_k3_json(n=True), "constraints.n", "expected a nonnegative integer"),
+    (_k3_json(n=1.0), "constraints.n", "expected a nonnegative integer"),
+    (_k3_json(n=-1), "constraints.n", "expected a nonnegative integer"),
+    (_k3_json(connected=1), "constraints.connected", "expected a boolean"),
+    (_k3_json(betti_total=[1, 0, "22", 0, 1]), "constraints.betti_total[2]",
+     "expected a nonnegative integer"),
+    (_k3_json(class_filter=""), "constraints.class_filter", "unknown class code ''"),
+    (_k3_json(class_filter="X"), "constraints.class_filter", "unknown class code 'X'"),
+    (_k3_json(class_filter=1), "constraints.class_filter", "expected a string"),
+    (_k3_json(poincare_duel=True), "constraints.poincare_duel", "unknown field"),
+    ([], "constraints", "expected an object"),
+])
+def test_invalid_constraint_files(data, field, message):
+    with pytest.raises(SchemaError) as info:
+        ConstraintSet.from_json_dict(data)
+    assert info.value.field == field
+    assert str(info.value) == f"{field}: {message}"
 
 
 def test_predictors():
