@@ -9,7 +9,7 @@ topological constraints, and the two routes cross-validate each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import BivariatePolynomial, NormalFormModule, make_module
 from .classification import MaximalityClass
@@ -142,17 +142,10 @@ def _curve(params: dict) -> CatalogEntry:
 
 
 def _elliptic_curve(params: dict) -> CatalogEntry:
-    entry = _curve({"g": 1, "r": 1})
-    return CatalogEntry(
+    return replace(
+        _curve({"g": 1, "r": 1}),
         name="elliptic_curve",
         parameters={},
-        module=entry.module,
-        dimension=1,
-        has_fixed_point=True,
-        connected=True,
-        expected_class=M,
-        is_real_manifold=True,
-        hodge_polynomial=entry.hodge_polynomial,
         notes="the square lattice torus; two ovals",
     )
 
@@ -245,17 +238,10 @@ def _k3(params: dict) -> CatalogEntry:
 
 
 def _k3_hodge_expressive(params: dict) -> CatalogEntry:
-    entry = _k3({"b_star": 24, "chi": -16})
-    return CatalogEntry(
+    return replace(
+        _k3({"b_star": 24, "chi": -16}),
         name="k3_hodge_expressive",
         parameters={},
-        module=entry.module,
-        dimension=2,
-        has_fixed_point=True,
-        connected=True,
-        expected_class=M,
-        is_real_manifold=True,
-        hodge_polynomial=K3_HODGE,
         notes="the maximal K3 with b_star = 24, chi = -16; Hodge-expressive",
     )
 

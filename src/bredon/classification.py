@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import BivariatePolynomial, GradedDims, NormalFormModule
-from .exceptions import InternalInconsistency, SchemaError, TorsionUnknown
+from .exceptions import InternalInconsistency, TorsionUnknown
 from .localization import BorelModule, C2GradedSpace, fixed_poincare_polynomial
 
 __all__ = [
@@ -35,13 +35,6 @@ class MaximalityClass(Enum):
     MAXIMAL = "M"
     GALOIS_MAXIMAL_ONLY = "GM"
     NEITHER = "NEITHER"
-
-    @staticmethod
-    def from_code(code: str) -> "MaximalityClass":
-        for member in MaximalityClass:
-            if member.value == code:
-                return member
-        raise SchemaError("class", f"unknown class code {code!r}")
 
     @property
     def is_galois_maximal(self) -> bool:

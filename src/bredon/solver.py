@@ -16,20 +16,21 @@ Every orbit's units lie at or above its representative's degree, so the
 search walks degrees 0..n under duality and 0..2n otherwise.  At each degree
 the units still left there must be used up exactly, and the units charged
 to higher degrees and to the fixed locus must stay within their budgets.
-Keys the forgetful or class rules forbid are never offered.  A budget that
-no later orbit can charge must already be spent.
+Keys the forgetful or class rules forbid are never offered.
 
-**Memoized state DAG.**  Every exact-sum budget is one entry of a single
+**Slot-level memo.**  Every exact-sum budget is one entry of a single
 list: the singular Betti numbers of degrees 0..2n, then, when given, the
-fixed-locus ones (fixed degree f at index 2n + 1 + f).  What can still
-happen after degree d depends only on the key ``(d, budgets from index d
-on)``.  Each key is expanded once; the memo keeps, per key, the choices at
-its degree that lead to a completion, with the key they lead to, and drops
-dead keys.  The modules are then read off the paths of that DAG.
-
-**Exact-sum pruning.**  Within a degree, a bitset per orbit slot holds the
-unit counts the later slots can absorb under upper-bound caps, and a
-multiplicity is tried only when the rest can be absorbed.
+fixed-locus ones (fixed degree f at index 2n + 1 + f).  The orbit
+representatives form one degree-ordered list of slots.  What can still
+happen from slot i on depends only on the state ``(i, budgets)``; each
+state is expanded once, passing over slots the budgets leave no copy of and
+trying every multiplicity they allow, and keeps the edges that lead to a
+completion.  A budget must be spent once no later slot charges it
+(``closing``), which is how each degree's units are used up exactly; every
+slot uses units of its own degree, so once those are spent the search jumps
+to the next degree.  A state with a single live edge hands up its child's
+edges, each prefixed by its own choice, so the walk that reads the modules
+off the paths skips chains of forced choices.
 
 Every module the search produces is re-checked through the public
 localization and classification operations before it is returned, so the
@@ -181,8 +182,8 @@ class ConstraintSet:
 
         class_code = require("class_filter", str, allow_none=True)
         try:
-            class_filter = None if class_code is None else MaximalityClass.from_code(class_code)
-        except SchemaError:
+            class_filter = None if class_code is None else MaximalityClass(class_code)
+        except ValueError:
             raise SchemaError(f"{field}.class_filter", f"unknown class code {class_code!r}")
 
         return ConstraintSet(
@@ -221,125 +222,96 @@ def satisfies_constraints(cs: ConstraintSet, module: NormalFormModule) -> bool:
 def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
     """All normal forms consistent with the constraints, canonically sorted.
 
-    Raises :class:`InfeasibleBounds` when ``betti_total`` is supported
-    outside degrees 0..2n.  An empty list is a legitimate answer.
+    Raises :class:`InfeasibleBounds` when ``betti_total`` or ``betti_fixed``
+    is supported outside degrees 0..2n.  An empty list is a legitimate answer.
     """
     n = cs.dimension
     top = 2 * n
-    for d, v in cs.betti_total.items():
-        if d < 0 or d > top:
-            raise InfeasibleBounds(
-                f"betti_total has dimension {v} in degree {d}, outside [0, {top}]"
-            )
+    budget = []
+    for name, dims in (("betti_total", cs.betti_total), ("betti_fixed", cs.betti_fixed)):
+        if dims is None:
+            continue
+        for d, v in dims.items():
+            if d < 0 or d > top:
+                raise InfeasibleBounds(
+                    f"{name} has dimension {v} in degree {d}, outside [0, {top}]"
+                )
+        budget += dims.to_list(top)
 
-    budget = cs.betti_total.to_list(top)
-    if cs.betti_fixed is not None:
-        if any(d < 0 or d > top for d in cs.betti_fixed.support()):
-            return []  # no key in the box reaches those fixed degrees
-        budget += cs.betti_fixed.to_list(top)
-
-    table, closed = _search_plan(
+    slots, closing = _search_plan(
         n, cs.poincare_dual, cs.has_fixed_point, cs.betti_fixed is not None,
         cs.forgetful_onto_degrees or frozenset(), cs.class_filter,
     )
 
-    last = len(table) - 1
-    # state key -> edges (free segment, antipodal segment, child key) that
-    # lead to a completion; a dead state maps to [], the leaf's edge to None
+    # state (slot index, budgets) -> edges (free segment, antipodal segment,
+    # child state) that lead to a completion; a completing edge has child None
     memo: dict[tuple, list] = {}
 
-    def cap_of(slot, r):
-        cost, charges, _, _ = slot
-        cap = r // cost
-        for e, k in charges:
-            cap = min(cap, budget[e] // k)
-        return cap
-
-    def charge(slot, c):
-        for e, k in slot[1]:
-            budget[e] -= c * k
-
-    def build(d):
-        if any(budget[e] for e in closed[d]):
-            return []
-        if d > last:
-            return [((), (), None)]
-        total = budget[d]
-        # slots that can take a copy, and reach[i]: the bitset of the sums
-        # slots i.. can absorb under today's caps
-        slots = [slot for slot in table[d] if cap_of(slot, total)]
-        reach = [0] * len(slots) + [1]
-        mask = (1 << (total + 1)) - 1
-        for i in range(len(slots) - 1, -1, -1):
-            cost, bits = slots[i][0], 0
-            for c in range(cap_of(slots[i], total) + 1):
-                bits |= reach[i + 1] << (c * cost)
-            reach[i] = bits & mask
-        edges: list = []
-        if not reach[0] >> total & 1:
-            return edges
-        free_seg: list = []
-        anti_seg: list = []
-
-        def fill(i, r):
+    def build(i):
+        while True:  # pass over the slots the budgets leave no copy of
+            if any(budget[e] for e in closing[i]):
+                return []
             if i == len(slots):
-                child = (d + 1, tuple(budget[d + 1:]))
-                alive = memo.get(child)
-                if alive is None:
-                    alive = memo[child] = build(d + 1)
-                if alive:
-                    edges.append((tuple(free_seg), tuple(anti_seg), child))
-                return
-            slot = slots[i]
-            cost, _, free_keys, anti_keys = slot
-            below = reach[i + 1]
-            for c in range(cap_of(slot, r) + 1):
-                rest = r - c * cost
-                if not below >> rest & 1:
-                    continue
-                if c:
-                    charge(slot, c)
-                    free_seg.extend((p, q, c) for p, q in free_keys)
-                    anti_seg.extend((s, t, c) for s, t in anti_keys)
-                fill(i + 1, rest)
-                if c:
-                    charge(slot, -c)
-                    del free_seg[len(free_seg) - len(free_keys):]
-                    del anti_seg[len(anti_seg) - len(anti_keys):]
+                return [((), (), None)]
+            charges, free_keys, anti_keys, after = slots[i]
+            cap = min(budget[e] // k for e, k in charges)
+            if cap:
+                break
+            i = i + 1 if budget[charges[0][0]] else after
+        edges = []
+        for c in range(cap + 1):
+            if c:
+                for e, k in charges:
+                    budget[e] -= k
+            # once its own degree is spent, no later slot of that degree fits
+            nxt = i + 1 if budget[charges[0][0]] else after
+            child = (nxt, tuple(budget))
+            alive = memo.get(child)
+            if alive is None:
+                alive = memo[child] = build(nxt)
+            if alive:
+                free_seg = tuple((p, q, c) for p, q in free_keys) if c else ()
+                anti_seg = tuple((s, t, c) for s, t in anti_keys) if c else ()
+                edges.append((free_seg, anti_seg, child))
+        for e, k in charges:
+            budget[e] += cap * k
+        if len(edges) != 1:
+            return edges
+        # a state with one way on stands for its child, with this segment first
+        free_seg, anti_seg, child = edges[0]
+        return [(free_seg + f, anti_seg + a, grandchild) for f, a, grandchild in memo[child]]
 
-        fill(0, total)
-        return edges
-
-    root = (0, tuple(budget))
-    memo[root] = build(0)
     results: list[NormalFormModule] = []
 
-    def walk(key, free, anti):
-        for free_seg, anti_seg, child in memo[key]:
+    def walk(edges, free, anti):
+        for free_seg, anti_seg, child in edges:
             if child is not None:
-                walk(child, free + free_seg, anti + anti_seg)
+                walk(memo[child], free + free_seg, anti + anti_seg)
                 continue
-            module = make_module(free, anti)
+            module = make_module(free + free_seg, anti + anti_seg)
             if satisfies_constraints(cs, module):
                 results.append(module)
 
-    walk(root, (), ())
+    walk(build(0), (), ())
     results.sort(key=lambda m: m.sort_key())
     return results
 
 
 @lru_cache(maxsize=64)
 def _search_plan(n, poincare_dual, has_fixed_point, fixed_given, forgetful, klass):
-    """The orbit slots per degree, and the budgets closed at each degree.
+    """The orbit slots in degree order, and the budgets closing at each slot.
 
     Budget indices are those of the search's budget vector: degree e of the
     singular Betti numbers at e, and, when ``fixed_given``, fixed degree f
-    at 2n + 1 + f.  Degrees 0..last are walked, last = n under duality and
-    2n otherwise.  A slot is ``(cost, charges, free_keys, antipodal_keys)``:
-    the units one copy of the orbit uses at its own degree, the (budget
-    index, units) pairs it charges elsewhere, and the keys it sets.  Keys
-    the forgetful or class rules forbid are left out.  ``closed[d]`` lists
-    the budgets that no slot at degree d or later charges.
+    at 2n + 1 + f.  Orbit representatives of degrees 0..last are slots,
+    last = n under duality and 2n otherwise.  A slot is ``(charges,
+    free_keys, antipodal_keys, after)``: the (budget index, units) pairs one
+    copy of the orbit uses, starting with its own degree, the keys it sets,
+    and the index of the first slot of the next degree.  Keys the forgetful
+    or class rules forbid are left out.  ``closing[i]`` lists the budgets
+    that must be spent by slot i: those last charged at slot i - 1 or in
+    the degree before slot i (the jump target of a spent degree), and, at
+    i = 0, those no slot charges.
     """
     top = 2 * n
     last = n if poincare_dual else top
@@ -352,7 +324,7 @@ def _search_plan(n, poincare_dual, has_fixed_point, fixed_given, forgetful, klas
             return (key,)
         return (key, mirror) if key < mirror else None
 
-    table = []
+    slots = []
     for d in range(last + 1):
         members = []
         for q in range(min(d, n) + 1):
@@ -366,25 +338,23 @@ def _search_plan(n, poincare_dual, has_fixed_point, fixed_given, forgetful, klas
                     continue
                 if all(r + span not in forgetful for r, span in keys):
                     members.append(((), keys))
-        slots = []
+        after = len(slots) + len(members)
         for free_keys, anti_keys in members:
-            # the budget index of every unit one copy of the orbit uses
+            # the budget index of every unit one copy of the orbit uses, its
+            # own degree first
             units = [p for p, _ in free_keys]
             for r, t in anti_keys:
                 units += [r, r + t]
             if fixed_given:
                 units += [top + 1 + p - q for p, q in free_keys]
-            charges = tuple(Counter(e for e in units if e != d).items())
-            slots.append((units.count(d), charges, free_keys, anti_keys))
-        table.append(slots)
+            slots.append((tuple(Counter(units).items()), free_keys, anti_keys, after))
 
-    size = 2 * (top + 1) if fixed_given else top + 1
-    closed = []
-    for d in range(last + 2):
-        charged = {e for slots in table[d:] for slot in slots for e, _ in slot[1]}
-        charged.update(e for e in range(d, last + 1) if table[e])
-        closed.append([e for e in range(d, size) if e not in charged])
-    return table, closed
+    final = {e: {i + 1, slot[3]} for i, slot in enumerate(slots) for e, _ in slot[0]}
+    closing = [[] for _ in range(len(slots) + 1)]
+    for e in range(2 * (top + 1) if fixed_given else top + 1):
+        for i in final.get(e, {0}):
+            closing[i].append(e)
+    return slots, closing
 
 
 @dataclass(frozen=True)

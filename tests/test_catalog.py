@@ -103,6 +103,44 @@ def test_k3_hodge_expressive_is_k3_24_m16():
     )
 
 
+# The full JSON of the two entries that copy another entry with a new name
+# and notes; the goldens pin only their modules.
+ALIAS_ENTRIES = {
+    "elliptic_curve": {
+        "name": "elliptic_curve",
+        "parameters": {},
+        "module": {"free": [[0, 0, 1], [1, 0, 1], [1, 1, 1], [2, 1, 1]], "antipodal": []},
+        "dimension": 1,
+        "has_fixed_point": True,
+        "connected": True,
+        "expected_class": "M",
+        "is_real_manifold": True,
+        "hodge_polynomial": [[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]],
+        "notes": "the square lattice torus; two ovals",
+    },
+    "k3_hodge_expressive": {
+        "name": "k3_hodge_expressive",
+        "parameters": {},
+        "module": {
+            "free": [[0, 0, 1], [2, 0, 1], [2, 1, 20], [2, 2, 1], [4, 2, 1]],
+            "antipodal": [],
+        },
+        "dimension": 2,
+        "has_fixed_point": True,
+        "connected": True,
+        "expected_class": "M",
+        "is_real_manifold": True,
+        "hodge_polynomial": [[0, 0, 1], [0, 2, 1], [1, 1, 20], [2, 0, 1], [2, 2, 1]],
+        "notes": "the maximal K3 with b_star = 24, chi = -16; Hodge-expressive",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALIAS_ENTRIES))
+def test_alias_entries(name):
+    assert catalog_get(name).to_json_dict() == ALIAS_ENTRIES[name]
+
+
 def test_parameter_errors():
     with pytest.raises(UnknownName):
         catalog_get("abelian_surface")

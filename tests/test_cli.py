@@ -241,12 +241,13 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     assert code == 2 and out == "" and "SCHEMA_ERROR" in err and "param" in err
 
     infeasible = tmp_path / "inf.json"
-    cs = {"n": 1, "betti_total": [1, 0, 0, 7], "betti_fixed": None,
-          "has_fixed_point": False, "connected": False, "poincare_dual": False,
-          "forgetful_onto_degrees": None, "class_filter": None}
-    infeasible.write_text(json.dumps(cs))
-    code, _, err = run(capsys, "solve", "--constraints", str(infeasible))
-    assert code == 2 and "INFEASIBLE_BOUNDS" in err
+    for total, fixed in (([1, 0, 0, 7], None), ([1, 0, 1], [1, 0, 0, 1])):
+        cs = {"n": 1, "betti_total": total, "betti_fixed": fixed,
+              "has_fixed_point": False, "connected": False, "poincare_dual": False,
+              "forgetful_onto_degrees": None, "class_filter": None}
+        infeasible.write_text(json.dumps(cs))
+        code, out, err = run(capsys, "solve", "--constraints", str(infeasible))
+        assert code == 2 and out == "" and "INFEASIBLE_BOUNDS" in err
 
     missing_field = tmp_path / "missing.json"
     missing_field.write_text('{"n": 2}')

@@ -177,6 +177,33 @@ def test_exhaustive_fixed_box_against_brute_force():
     assert _sweep_against_brute_force(sets) == (5576, 470)
 
 
+def test_every_candidate_passes_without_class_filter(monkeypatch):
+    """The budgets make the search exact: without a class filter, every
+    module it materializes passes the re-check, so no budget is left
+    unchecked when the search jumps past a spent degree."""
+    import bredon.solver
+
+    made = []
+    build = bredon.solver.make_module
+
+    def counted(*rows):
+        made.append(rows)
+        return build(*rows)
+
+    monkeypatch.setattr(bredon.solver, "make_module", counted)
+    fixed_lists = list(itertools.product(range(3), repeat=2))
+    sets = itertools.chain(
+        _box_constraints(), _box_constraints(boxes=((1, 3),), fixed_lists=fixed_lists)
+    )
+    checked = 0
+    for cs in sets:
+        if cs.class_filter is None:
+            made.clear()
+            assert len(enumerate_decompositions(cs)) == len(made), cs.to_json_dict()
+            checked += 1
+    assert checked == 2062
+
+
 def _random_module_in_box(rng, n):
     """A random normal form inside the search box for dimension n."""
     from bredon import make_module
@@ -265,6 +292,27 @@ def test_one_singular_computation_per_candidate(monkeypatch):
     assert counts == {"singular_betti": 10, "underlying_singular": 0, "candidates": 10}
 
 
+def test_first_candidate_is_fast(monkeypatch):
+    """The search state is polynomial in the data, so the first candidate
+    of a set with 89 M decompositions comes long before they are all built."""
+    import time
+
+    import bredon.solver
+
+    class FirstCandidate(Exception):
+        pass
+
+    def stop(*args):
+        raise FirstCandidate
+
+    monkeypatch.setattr(bredon.solver, "make_module", stop)
+    cs = ConstraintSet(dimension=3, betti_total=GradedDims.from_list([1, 0, 3, 20, 3, 0, 1]))
+    start = time.perf_counter()
+    with pytest.raises(FirstCandidate):
+        enumerate_decompositions(cs)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_determinism():
     cs = k3_constraints()
     first = enumerate_decompositions(cs)
@@ -285,12 +333,19 @@ def test_empty_result_is_not_an_error():
 
 
 def test_infeasible_bounds():
-    cs = ConstraintSet(
-        dimension=1,
-        betti_total=GradedDims.from_list([1, 0, 0, 5]),
-    )
-    with pytest.raises(InfeasibleBounds):
-        enumerate_decompositions(cs)
+    """Support outside degrees 0..2n is an input error, in either Betti list."""
+    for total, fixed, message in (
+        ([1, 0, 0, 5], None, "betti_total has dimension 5 in degree 3, outside [0, 2]"),
+        ([1, 0, 1], [1, 0, 0, 1], "betti_fixed has dimension 1 in degree 3, outside [0, 2]"),
+    ):
+        cs = ConstraintSet(
+            dimension=1,
+            betti_total=GradedDims.from_list(total),
+            betti_fixed=None if fixed is None else GradedDims.from_list(fixed),
+        )
+        with pytest.raises(InfeasibleBounds) as info:
+            enumerate_decompositions(cs)
+        assert str(info.value) == message
 
 
 def test_constraint_set_invariants():
