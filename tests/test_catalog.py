@@ -164,6 +164,20 @@ def test_parameter_errors():
         catalog_get("representation_sphere", p=1, q=2)
 
 
+@pytest.mark.parametrize("name, parameters, message", [
+    ("projective_space", {}, "missing parameter 'n'"),
+    ("curve", {"r": 0}, "missing parameter 'g'"),
+    ("projective_space", {"n": "2"}, "parameter 'n' must be an integer, got '2'"),
+    ("k3", {"b_star": 4, "chi": True}, "parameter 'chi' must be an integer, got True"),
+    ("point", {"n": 1}, "point does not take parameter(s) ['n']"),
+    ("curve", {"g": 1, "r": 0, "k": 1, "a": 2}, "curve does not take parameter(s) ['a', 'k']"),
+])
+def test_parameter_messages(name, parameters, message):
+    with pytest.raises(ParameterRange) as info:
+        catalog_get(name, **parameters)
+    assert str(info.value) == message
+
+
 def test_catalog_list_schema():
     listing = catalog_list()
     names = [item["name"] for item in listing]

@@ -248,6 +248,8 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
         infeasible.write_text(json.dumps(cs))
         code, out, err = run(capsys, "solve", "--constraints", str(infeasible))
         assert code == 2 and out == "" and "INFEASIBLE_BOUNDS" in err
+        code, out, err = run(capsys, "predict", "--constraints", str(infeasible))
+        assert code == 2 and out == "" and "INFEASIBLE_BOUNDS" in err
 
     missing_field = tmp_path / "missing.json"
     missing_field.write_text('{"n": 2}')

@@ -377,6 +377,14 @@ def test_json_round_trip():
     assert canonical_dumps(again.to_json_dict()) == canonical_dumps(data)
 
 
+def test_k3_constraints_json():
+    assert canonical_dumps(k3_constraints().to_json_dict()) == (
+        '{"n":2,"betti_total":[1,0,22,0,1],"betti_fixed":[2,0,2],"has_fixed_point":true,'
+        '"connected":true,"poincare_dual":true,"forgetful_onto_degrees":null,'
+        '"class_filter":null}'
+    )
+
+
 def _k3_json(**changes):
     data = k3_constraints().to_json_dict()
     data.update(changes)
@@ -397,6 +405,12 @@ def _k3_json(**changes):
     (_k3_json(class_filter=1), "constraints.class_filter", "expected a string"),
     (_k3_json(poincare_duel=True), "constraints.poincare_duel", "unknown field"),
     ([], "constraints", "expected an object"),
+    (_k3_json(betti_fixed=[2, -1, 2]), "constraints.betti_fixed[1]",
+     "expected a nonnegative integer"),
+    (_k3_json(forgetful_onto_degrees=[4, 2.0]), "constraints.forgetful_onto_degrees[1]",
+     "expected an integer"),
+    (_k3_json(has_fixed_point="yes"), "constraints.has_fixed_point", "expected a boolean"),
+    (_k3_json(n="2", betti_total="x"), "constraints.n", "expected a nonnegative integer"),
 ])
 def test_invalid_constraint_files(data, field, message):
     with pytest.raises(SchemaError) as info:
