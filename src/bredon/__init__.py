@@ -8,138 +8,18 @@ as Maximal / Galois-Maximal / neither, checks Poincare-duality symmetries,
 and enumerates all decompositions consistent with topological constraints.
 """
 
-from .algebra import (
-    ONE,
-    RHO,
-    TAU,
-    THETA,
-    ZERO,
-    BivariatePolynomial,
-    GradedDims,
-    M2Element,
-    NormalFormModule,
-    UnivariatePolynomial,
-    direct_sum,
-    m2_basis,
-    m2_multiply,
-    make_module,
-    rank_polynomial,
-    suspend,
-)
-from .catalog import CatalogEntry, catalog_get, catalog_list
-from .classification import (
-    MaximalityClass,
-    SmithThomReport,
-    borel_classify,
-    classify,
-    group_cohomology_dims,
-    hodge_birank_check,
-    hodge_expressive_check,
-    smith_thom_report,
-)
-from .exceptions import (
-    BredonError,
-    ConstraintViolation,
-    InfeasibleBounds,
-    InternalInconsistency,
-    InvalidShift,
-    NegativeExponent,
-    NegativeMultiplicity,
-    ParameterRange,
-    ParseError,
-    SchemaError,
-    TorsionUnknown,
-    UnknownName,
-)
-from .localization import (
-    BorelModule,
-    C2GradedSpace,
-    HomologyModule,
-    PdReport,
-    PdViolation,
-    ValidationFailure,
-    ValidationReport,
-    fixed_poincare_polynomial,
-    forgetful_image_dims,
-    homology_dual,
-    pd_symmetric,
-    real_manifold_validate,
-    rho_localize,
-    singular_betti,
-    tau_localize,
-    underlying_singular,
-)
-from .solver import (
-    ConstraintSet,
-    MaximalityPrediction,
-    enumerate_decompositions,
-    krasnov_predict,
-    satisfies_constraints,
-    threefold_predict,
-)
+from . import algebra, catalog, classification, exceptions, localization, solver
+from .algebra import *
+from .catalog import *
+from .classification import *
+from .exceptions import *
+from .localization import *
+from .solver import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "M2Element",
-    "ZERO",
-    "ONE",
-    "RHO",
-    "TAU",
-    "THETA",
-    "m2_multiply",
-    "m2_basis",
-    "GradedDims",
-    "UnivariatePolynomial",
-    "BivariatePolynomial",
-    "NormalFormModule",
-    "make_module",
-    "direct_sum",
-    "suspend",
-    "rank_polynomial",
-    "C2GradedSpace",
-    "BorelModule",
-    "HomologyModule",
-    "PdViolation",
-    "PdReport",
-    "ValidationFailure",
-    "ValidationReport",
-    "rho_localize",
-    "fixed_poincare_polynomial",
-    "tau_localize",
-    "underlying_singular",
-    "singular_betti",
-    "forgetful_image_dims",
-    "homology_dual",
-    "pd_symmetric",
-    "real_manifold_validate",
-    "MaximalityClass",
-    "SmithThomReport",
-    "classify",
-    "smith_thom_report",
-    "group_cohomology_dims",
-    "borel_classify",
-    "hodge_expressive_check",
-    "hodge_birank_check",
-    "ConstraintSet",
-    "MaximalityPrediction",
-    "enumerate_decompositions",
-    "satisfies_constraints",
-    "krasnov_predict",
-    "threefold_predict",
-    "CatalogEntry",
-    "catalog_get",
-    "catalog_list",
-    "BredonError",
-    "ConstraintViolation",
-    "NegativeMultiplicity",
-    "InvalidShift",
-    "NegativeExponent",
-    "TorsionUnknown",
-    "InternalInconsistency",
-    "InfeasibleBounds",
-    "UnknownName",
-    "ParameterRange",
-    "ParseError",
-    "SchemaError",
+    name
+    for module in (algebra, localization, classification, solver, catalog, exceptions)
+    for name in module.__all__
 ]

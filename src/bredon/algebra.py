@@ -25,8 +25,8 @@ from .exceptions import (
     InvalidShift,
     NegativeExponent,
     NegativeMultiplicity,
-    SchemaError,
 )
+from .serialize import expect, int_rows
 
 __all__ = [
     "M2Element",
@@ -201,20 +201,6 @@ def merge_rows(rows: Iterable[Sequence], width: int) -> tuple:
         if total:
             out.append(row or (a, b, total))
     return tuple(out)
-
-
-def int_rows(value, width: int, field: str, shape: str, row_shape: str) -> list:
-    """``value`` if it is a list of ``width``-integer lists, else SchemaError."""
-    if not isinstance(value, list):
-        raise SchemaError(field, f"expected {shape}")
-    for k, row in enumerate(value):
-        if (
-            not isinstance(row, list)
-            or len(row) != width
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in row)
-        ):
-            raise SchemaError(f"{field}[{k}]", f"expected {row_shape}")
-    return value
 
 
 def row_value(rows: tuple, key: tuple) -> int:
@@ -521,8 +507,7 @@ class NormalFormModule:
 
     @staticmethod
     def from_json_dict(data, cw: bool = True, field: str = "module") -> "NormalFormModule":
-        if not isinstance(data, dict):
-            raise SchemaError(field, "expected an object with 'free' and 'antipodal'")
+        expect(data, dict, field, "an object with 'free' and 'antipodal'")
         shape, row_shape = "a list of triples", "three integers [a, b, mult]"
         free, antipodal = (
             int_rows(data.get(part, []), 3, f"{field}.{part}", shape, row_shape)

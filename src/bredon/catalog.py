@@ -15,7 +15,7 @@ from .algebra import BivariatePolynomial, NormalFormModule, make_module
 from .classification import MaximalityClass
 from .exceptions import ParameterRange, UnknownName
 
-__all__ = ["CatalogEntry", "catalog_get", "catalog_list", "CATALOG_NAMES"]
+__all__ = ["CatalogEntry", "catalog_get", "catalog_list"]
 
 M = MaximalityClass.MAXIMAL
 GM = MaximalityClass.GALOIS_MAXIMAL_ONLY
@@ -52,16 +52,7 @@ class CatalogEntry:
         }
 
 
-def _require_int(params: dict, key: str) -> int:
-    if key not in params:
-        raise ParameterRange(f"missing parameter {key!r}")
-    value = params[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParameterRange(f"parameter {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _point(params: dict) -> CatalogEntry:
+def _point() -> CatalogEntry:
     return CatalogEntry(
         name="point",
         parameters={},
@@ -75,9 +66,7 @@ def _point(params: dict) -> CatalogEntry:
     )
 
 
-def _representation_sphere(params: dict) -> CatalogEntry:
-    p = _require_int(params, "p")
-    q = _require_int(params, "q")
+def _representation_sphere(p: int, q: int) -> CatalogEntry:
     if not (p >= q >= 0):
         raise ParameterRange(f"representation sphere needs p >= q >= 0, got ({p}, {q})")
     # The unreduced cohomology: base class plus the reduced shifted copy.
@@ -96,8 +85,7 @@ def _representation_sphere(params: dict) -> CatalogEntry:
     )
 
 
-def _projective_space(params: dict) -> CatalogEntry:
-    n = _require_int(params, "n")
+def _projective_space(n: int) -> CatalogEntry:
     if n < 0:
         raise ParameterRange(f"projective space needs n >= 0, got {n}")
     module = make_module([(2 * i, i, 1) for i in range(n + 1)])
@@ -115,9 +103,7 @@ def _projective_space(params: dict) -> CatalogEntry:
     )
 
 
-def _curve(params: dict) -> CatalogEntry:
-    g = _require_int(params, "g")
-    r = _require_int(params, "r")
+def _curve(g: int, r: int) -> CatalogEntry:
     if not (0 <= r <= g):
         raise ParameterRange(f"curve needs 0 <= r <= g, got g={g}, r={r}")
     free = [(0, 0, 1), (2, 1, 1)]
@@ -141,16 +127,16 @@ def _curve(params: dict) -> CatalogEntry:
     )
 
 
-def _elliptic_curve(params: dict) -> CatalogEntry:
+def _elliptic_curve() -> CatalogEntry:
     return replace(
-        _curve({"g": 1, "r": 1}),
+        _curve(g=1, r=1),
         name="elliptic_curve",
         parameters={},
         notes="the square lattice torus; two ovals",
     )
 
 
-def _severi_brauer_1(params: dict) -> CatalogEntry:
+def _severi_brauer_1() -> CatalogEntry:
     return CatalogEntry(
         name="severi_brauer_1",
         parameters={},
@@ -164,8 +150,7 @@ def _severi_brauer_1(params: dict) -> CatalogEntry:
     )
 
 
-def _severi_brauer_odd(params: dict) -> CatalogEntry:
-    k = _require_int(params, "k")
+def _severi_brauer_odd(k: int) -> CatalogEntry:
     if k < 0:
         raise ParameterRange(f"severi_brauer_odd needs k >= 0, got {k}")
     module = make_module([], [(4 * i, 2, 1) for i in range(k + 1)])
@@ -182,7 +167,7 @@ def _severi_brauer_odd(params: dict) -> CatalogEntry:
     )
 
 
-def _twisted_plane(params: dict) -> CatalogEntry:
+def _twisted_plane() -> CatalogEntry:
     return CatalogEntry(
         name="twisted_plane",
         parameters={},
@@ -200,9 +185,7 @@ def _twisted_plane(params: dict) -> CatalogEntry:
 K3_HODGE = BivariatePolynomial(((0, 0, 1), (2, 0, 1), (0, 2, 1), (1, 1, 20), (2, 2, 1)))
 
 
-def _k3(params: dict) -> CatalogEntry:
-    b_star = _require_int(params, "b_star")
-    chi = _require_int(params, "chi")
+def _k3(b_star: int, chi: int) -> CatalogEntry:
     if (b_star + chi) % 4 or (b_star - chi) % 2 or (24 - b_star) % 2:
         raise ParameterRange(
             f"k3 needs (b_star + chi) % 4 == 0 and even b_star - chi, 24 - b_star; "
@@ -237,9 +220,9 @@ def _k3(params: dict) -> CatalogEntry:
     )
 
 
-def _k3_hodge_expressive(params: dict) -> CatalogEntry:
+def _k3_hodge_expressive() -> CatalogEntry:
     return replace(
-        _k3({"b_star": 24, "chi": -16}),
+        _k3(b_star=24, chi=-16),
         name="k3_hodge_expressive",
         parameters={},
         notes="the maximal K3 with b_star = 24, chi = -16; Hodge-expressive",
@@ -251,7 +234,7 @@ CUBIC_HODGE = BivariatePolynomial(
 )
 
 
-def _cubic_threefold(params: dict) -> CatalogEntry:
+def _cubic_threefold() -> CatalogEntry:
     free = [(0, 0, 1), (2, 1, 1), (3, 0, 1), (3, 3, 1), (4, 2, 1), (6, 3, 1)]
     antipodal = [(3, 0, 4)]
     return CatalogEntry(
@@ -296,9 +279,6 @@ _FAMILIES = {
     "cubic_threefold_s3_rp3": (_cubic_threefold, {}),
 }
 
-CATALOG_NAMES = tuple(_FAMILIES)
-
-
 def catalog_get(name: str, **parameters: int) -> CatalogEntry:
     """Build the named entry; unknown names and bad parameters raise."""
     if name not in _FAMILIES:
@@ -309,7 +289,13 @@ def catalog_get(name: str, **parameters: int) -> CatalogEntry:
         raise ParameterRange(
             f"{name} does not take parameter(s) {sorted(unexpected)}"
         )
-    return builder(parameters)
+    for key in schema:
+        if key not in parameters:
+            raise ParameterRange(f"missing parameter {key!r}")
+        value = parameters[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParameterRange(f"parameter {key!r} must be an integer, got {value!r}")
+    return builder(**parameters)
 
 
 def catalog_list() -> list[dict]:

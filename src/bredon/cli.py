@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a requested check fails (the report is
 still emitted), 2 on malformed input (parse errors, schema errors, unknown
-catalog names or parameters, infeasible constraint data).
+catalog names or parameters, infeasible constraint data, a search too deep
+to run).
 
 ``--format json`` never builds table text: each verb hands ``_emit`` a
 function that renders its table, called only under ``--format table``.
@@ -32,6 +33,7 @@ from .exceptions import (
     ParameterRange,
     ParseError,
     SchemaError,
+    SearchTooDeep,
     TorsionUnknown,
     UnknownName,
 )
@@ -60,6 +62,7 @@ _INPUT_ERRORS = (
     ConstraintViolation,
     NegativeMultiplicity,
     InfeasibleBounds,
+    SearchTooDeep,
     TorsionUnknown,
 )
 

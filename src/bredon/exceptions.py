@@ -7,6 +7,22 @@ messages.
 
 from __future__ import annotations
 
+__all__ = [
+    "BredonError",
+    "ConstraintViolation",
+    "NegativeMultiplicity",
+    "InvalidShift",
+    "NegativeExponent",
+    "TorsionUnknown",
+    "InternalInconsistency",
+    "InfeasibleBounds",
+    "SearchTooDeep",
+    "UnknownName",
+    "ParameterRange",
+    "ParseError",
+    "SchemaError",
+]
+
 
 class BredonError(Exception):
     """Base class for all package errors."""
@@ -54,6 +70,12 @@ class InfeasibleBounds(BredonError):
     """Constraint data lies outside the feasible degree window."""
 
     code = "INFEASIBLE_BOUNDS"
+
+
+class SearchTooDeep(BredonError):
+    """The decomposition search nests deeper than the interpreter's recursion limit."""
+
+    code = "SEARCH_TOO_DEEP"
 
 
 class UnknownName(BredonError):

@@ -29,12 +29,11 @@ from .algebra import (
     GradedDims,
     NormalFormModule,
     UnivariatePolynomial,
-    int_rows,
     merge_rows,
     rank_polynomial,
     row_value,
 )
-from .exceptions import SchemaError
+from .serialize import expect, int_rows
 
 __all__ = [
     "C2GradedSpace",
@@ -143,8 +142,7 @@ class BorelModule:
 
     @staticmethod
     def from_json_dict(data, field_name: str = "borel") -> "BorelModule":
-        if not isinstance(data, dict):
-            raise SchemaError(field_name, "expected an object with 'free' and 'torsion'")
+        expect(data, dict, field_name, "an object with 'free' and 'torsion'")
         free, torsion = (
             int_rows(
                 data.get(name, []), w, f"{field_name}.{name}", "a list", f"{w} integers"

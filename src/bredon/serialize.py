@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .exceptions import ParseError
+from .exceptions import ParseError, SchemaError
 
-__all__ = ["canonical_dumps", "parse_json", "load_json_file"]
+__all__ = ["canonical_dumps", "parse_json", "load_json_file", "expect", "int_rows"]
+
+_KINDS = {int: "an integer", bool: "a boolean", list: "a list", str: "a string", dict: "an object"}
 
 
 # json.dumps builds a new encoder on every call with non-default separators.
@@ -41,3 +43,31 @@ def load_json_file(path: str | Path):
     except OSError as exc:
         raise ParseError(f"{p}: {exc.strerror or exc}") from exc
     return parse_json(text, source=str(p))
+
+
+def expect(value, kind, field: str, what: str | None = None, minimum: int | None = None):
+    """``value`` if it is a ``kind`` of at least ``minimum``, else SchemaError.
+
+    A bool is never an int.  ``what`` describes the expected value in the
+    message, by default the name of ``kind``.
+    """
+    if (
+        not isinstance(value, kind)
+        or kind is int and isinstance(value, bool)
+        or minimum is not None and value < minimum
+    ):
+        raise SchemaError(field, f"expected {what or _KINDS[kind]}")
+    return value
+
+
+def int_rows(value, width: int, field: str, shape: str, row_shape: str) -> list:
+    """``value`` if it is a list of ``width``-integer lists, else SchemaError."""
+    expect(value, list, field, shape)
+    for k, row in enumerate(value):
+        if (
+            not isinstance(row, list)
+            or len(row) != width
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in row)
+        ):
+            raise SchemaError(f"{field}[{k}]", f"expected {row_shape}")
+    return value

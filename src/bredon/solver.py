@@ -34,9 +34,14 @@ off the paths skips chains of forced choices.
 
 Every module the search produces is re-checked through the public
 localization and classification operations before it is returned, so the
-output is sound by construction and the pruning only affects speed.  The
-search is single-threaded; output is canonically sorted so it does not
-depend on exploration order.
+output is sound by construction.  The search offers only keys in a box:
+free weights q <= n and, with ``has_fixed_point``, antipodal shifts r >= 1
+with r + t <= 2n - 1.  The re-check enforces these bounds only under
+duality, so without it the box can leave out modules that meet the
+constraints: n=1 ``[1,0,1]`` without flags omits ``M2[0,0] + M2[2,2]``, and
+n=1 ``[2,1,0]`` with a fixed point omits ``M2[0,0] + A1[0]``.  Within the
+box the pruning only affects speed.  The search is single-threaded; output
+is canonically sorted so it does not depend on exploration order.
 """
 
 from __future__ import annotations
@@ -47,13 +52,14 @@ from functools import lru_cache
 
 from .algebra import GradedDims, NormalFormModule, make_module
 from .classification import MaximalityClass, classify
-from .exceptions import ConstraintViolation, InfeasibleBounds, SchemaError
+from .exceptions import ConstraintViolation, InfeasibleBounds, SchemaError, SearchTooDeep
 from .localization import (
     forgetful_image_dims,
     real_manifold_validate,
     rho_localize,
     singular_betti,
 )
+from .serialize import expect
 
 __all__ = [
     "ConstraintSet",
@@ -67,17 +73,18 @@ __all__ = [
 
 _CONSTRAINT_KEYS = ("n", "betti_total", "betti_fixed", "has_fixed_point", "connected",
                     "poincare_dual", "forgetful_onto_degrees", "class_filter")
-_KIND_NAMES = {int: "a nonnegative integer", bool: "a boolean", list: "a list", str: "a string"}
 
 
 @dataclass(frozen=True)
 class ConstraintSet:
     """Topological data driving the decomposition search.
 
-    ``betti_total`` are the mod-2 Betti numbers of the ambient space,
-    supported in degrees 0..2n; ``betti_fixed``, when given, those of the
-    fixed locus.  ``poincare_dual`` asserts the compact-Real-manifold mirror
-    symmetries; ``forgetful_onto_degrees`` lists degrees where restriction
+    ``betti_total`` are the mod-2 Betti numbers of the ambient space and
+    ``betti_fixed``, when given, those of the fixed locus; support of either
+    outside degrees 0..2n raises :class:`InfeasibleBounds`.
+    ``poincare_dual`` asserts the compact-Real-manifold mirror symmetries;
+    without it the search answers only within its key box (module
+    docstring).  ``forgetful_onto_degrees`` lists degrees where restriction
     to singular cohomology must be surjective.
     """
 
@@ -110,16 +117,21 @@ class ConstraintSet:
             raise ConstraintViolation(
                 "a nonempty fixed locus has positive total Betti number"
             )
+        top = 2 * self.dimension
+        for name, dims in (("betti_total", self.betti_total), ("betti_fixed", self.betti_fixed)):
+            for d, v in dims.items() if dims is not None else ():
+                if d < 0 or d > top:
+                    raise InfeasibleBounds(
+                        f"{name} has dimension {v} in degree {d}, outside [0, {top}]"
+                    )
 
     def to_json_dict(self) -> dict:
-        top = max([2 * self.dimension] + list(self.betti_total.support()))
-        fixed = None
-        if self.betti_fixed is not None:
-            upper = max([self.dimension] + list(self.betti_fixed.support()))
-            fixed = self.betti_fixed.to_list(upper)
+        fixed = self.betti_fixed
+        if fixed is not None:
+            fixed = fixed.to_list(max(self.dimension, *fixed.support()))
         return {
             "n": self.dimension,
-            "betti_total": self.betti_total.to_list(top),
+            "betti_total": self.betti_total.to_list(2 * self.dimension),
             "betti_fixed": fixed,
             "has_fixed_point": self.has_fixed_point,
             "connected": self.connected,
@@ -134,68 +146,53 @@ class ConstraintSet:
 
     @staticmethod
     def from_json_dict(data, field: str = "constraints") -> "ConstraintSet":
-        if not isinstance(data, dict):
-            raise SchemaError(field, "expected an object")
+        expect(data, dict, field)
         for key in data:
             if key not in _CONSTRAINT_KEYS:
                 raise SchemaError(f"{field}.{key}", "unknown field")
-
-        def require(key, kind, allow_none=False):
-            if key not in data:
-                if allow_none:
-                    return None
-                raise SchemaError(f"{field}.{key}", "missing required field")
-            value = data[key]
-            if value is None and allow_none:
-                return None
-            if not isinstance(value, kind) or kind is int and isinstance(value, bool):
-                raise SchemaError(f"{field}.{key}", f"expected {_KIND_NAMES[kind]}")
-            return value
-
-        n = require("n", int)
-        if n < 0:
-            raise SchemaError(f"{field}.n", "expected a nonnegative integer")
-
-        def betti_list(key, allow_none):
-            value = require(key, list, allow_none=allow_none)
-            if value is None:
-                return None
-            for i, entry in enumerate(value):
-                if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
-                    raise SchemaError(f"{field}.{key}[{i}]", "expected a nonnegative integer")
-            return GradedDims.from_list(value)
-
-        total = betti_list("betti_total", allow_none=False)
-        fixed = betti_list("betti_fixed", allow_none=True)
-
-        def flag(key):
-            return bool(require(key, bool, allow_none=True))
-
-        forgetful = require("forgetful_onto_degrees", list, allow_none=True)
+        if "n" not in data:
+            raise SchemaError(f"{field}.n", "missing required field")
+        n = expect(data["n"], int, f"{field}.n", "a nonnegative integer", minimum=0)
+        if "betti_total" not in data:
+            raise SchemaError(f"{field}.betti_total", "missing required field")
+        total = _betti_list(data["betti_total"], f"{field}.betti_total")
+        fixed = data.get("betti_fixed")
+        if fixed is not None:
+            fixed = _betti_list(fixed, f"{field}.betti_fixed")
+        forgetful = data.get("forgetful_onto_degrees")
         if forgetful is not None:
-            for i, entry in enumerate(forgetful):
-                if not isinstance(entry, int) or isinstance(entry, bool):
-                    raise SchemaError(
-                        f"{field}.forgetful_onto_degrees[{i}]", "expected an integer"
-                    )
-            forgetful = frozenset(forgetful)
-
-        class_code = require("class_filter", str, allow_none=True)
-        try:
-            class_filter = None if class_code is None else MaximalityClass(class_code)
-        except ValueError:
-            raise SchemaError(f"{field}.class_filter", f"unknown class code {class_code!r}")
-
+            at = f"{field}.forgetful_onto_degrees"
+            expect(forgetful, list, at)
+            forgetful = frozenset(expect(d, int, f"{at}[{i}]") for i, d in enumerate(forgetful))
+        class_filter = data.get("class_filter")
+        if class_filter is not None:
+            expect(class_filter, str, f"{field}.class_filter")
+            try:
+                class_filter = MaximalityClass(class_filter)
+            except ValueError:
+                raise SchemaError(
+                    f"{field}.class_filter", f"unknown class code {class_filter!r}"
+                )
+        flags = {
+            key: data.get(key) is not None and expect(data[key], bool, f"{field}.{key}")
+            for key in ("has_fixed_point", "connected", "poincare_dual")
+        }
         return ConstraintSet(
             dimension=n,
             betti_total=total,
             betti_fixed=fixed,
-            has_fixed_point=flag("has_fixed_point"),
-            connected=flag("connected"),
-            poincare_dual=flag("poincare_dual"),
             forgetful_onto_degrees=forgetful,
             class_filter=class_filter,
+            **flags,
         )
+
+
+def _betti_list(value, field: str) -> GradedDims:
+    """The dimensions of a dense list of nonnegative integers, else SchemaError."""
+    expect(value, list, field)
+    for i, entry in enumerate(value):
+        expect(entry, int, f"{field}[{i}]", "a nonnegative integer", minimum=0)
+    return GradedDims.from_list(value)
 
 
 def satisfies_constraints(cs: ConstraintSet, module: NormalFormModule) -> bool:
@@ -222,21 +219,13 @@ def satisfies_constraints(cs: ConstraintSet, module: NormalFormModule) -> bool:
 def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
     """All normal forms consistent with the constraints, canonically sorted.
 
-    Raises :class:`InfeasibleBounds` when ``betti_total`` or ``betti_fixed``
-    is supported outside degrees 0..2n.  An empty list is a legitimate answer.
+    An empty list is a legitimate answer.  Raises :class:`SearchTooDeep` past
+    the interpreter's recursion limit, which high dimensions (n = 50) reach.
     """
     n = cs.dimension
-    top = 2 * n
-    budget = []
-    for name, dims in (("betti_total", cs.betti_total), ("betti_fixed", cs.betti_fixed)):
-        if dims is None:
-            continue
-        for d, v in dims.items():
-            if d < 0 or d > top:
-                raise InfeasibleBounds(
-                    f"{name} has dimension {v} in degree {d}, outside [0, {top}]"
-                )
-        budget += dims.to_list(top)
+    budget = cs.betti_total.to_list(2 * n)
+    if cs.betti_fixed is not None:
+        budget += cs.betti_fixed.to_list(2 * n)
 
     slots, closing = _search_plan(
         n, cs.poincare_dual, cs.has_fixed_point, cs.betti_fixed is not None,
@@ -292,7 +281,13 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
             if satisfies_constraints(cs, module):
                 results.append(module)
 
-    walk(build(0), (), ())
+    try:
+        walk(build(0), (), ())
+    except RecursionError:
+        # one frame per state along a path: the depth grows with n
+        raise SearchTooDeep(
+            f"the search for n={n} nests deeper than the interpreter's recursion limit"
+        ) from None
     results.sort(key=lambda m: m.sort_key())
     return results
 

@@ -205,6 +205,21 @@ def test_solve_constraint_overrides(tmp_path, capsys):
     assert json.loads(out)["threefold"]["applicable"] is False
 
 
+def test_search_too_deep_exits_2(tmp_path, capsys):
+    n = 50
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "n": n, "betti_total": [1, 0] + [1] * (2 * n - 3) + [0, 1],
+        "has_fixed_point": True, "connected": True, "poincare_dual": True,
+    }))
+    code, out, err = run(capsys, "solve", "--constraints", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        "error[SEARCH_TOO_DEEP]: the search for n=50 nests deeper than the "
+        "interpreter's recursion limit\n"
+    )
+
+
 def test_module_file_input(tmp_path, capsys):
     module = catalog_get("severi_brauer_1").module
     path = tmp_path / "sb1.json"

@@ -10,6 +10,7 @@ from bredon import (
     InfeasibleBounds,
     MaximalityClass,
     SchemaError,
+    SearchTooDeep,
     catalog_get,
     classify,
     enumerate_decompositions,
@@ -338,14 +339,30 @@ def test_infeasible_bounds():
         ([1, 0, 0, 5], None, "betti_total has dimension 5 in degree 3, outside [0, 2]"),
         ([1, 0, 1], [1, 0, 0, 1], "betti_fixed has dimension 1 in degree 3, outside [0, 2]"),
     ):
-        cs = ConstraintSet(
-            dimension=1,
-            betti_total=GradedDims.from_list(total),
-            betti_fixed=None if fixed is None else GradedDims.from_list(fixed),
-        )
         with pytest.raises(InfeasibleBounds) as info:
-            enumerate_decompositions(cs)
+            ConstraintSet(
+                dimension=1,
+                betti_total=GradedDims.from_list(total),
+                betti_fixed=None if fixed is None else GradedDims.from_list(fixed),
+            )
         assert str(info.value) == message
+
+
+def test_search_too_deep():
+    """A search nesting past the recursion limit is a documented input error."""
+    n = 50
+    cs = ConstraintSet(
+        dimension=n,
+        betti_total=GradedDims.from_list([1, 0] + [1] * (2 * n - 3) + [0, 1]),
+        has_fixed_point=True,
+        connected=True,
+        poincare_dual=True,
+    )
+    with pytest.raises(SearchTooDeep) as info:
+        enumerate_decompositions(cs)
+    assert str(info.value) == (
+        "the search for n=50 nests deeper than the interpreter's recursion limit"
+    )
 
 
 def test_constraint_set_invariants():
