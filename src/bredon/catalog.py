@@ -279,6 +279,7 @@ _FAMILIES = {
     "cubic_threefold_s3_rp3": (_cubic_threefold, {}),
 }
 
+
 def catalog_get(name: str, **parameters: int) -> CatalogEntry:
     """Build the named entry; unknown names and bad parameters raise."""
     if name not in _FAMILIES:

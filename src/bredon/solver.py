@@ -128,7 +128,7 @@ class ConstraintSet:
     def to_json_dict(self) -> dict:
         fixed = self.betti_fixed
         if fixed is not None:
-            fixed = fixed.to_list(max(self.dimension, *fixed.support()))
+            fixed = fixed.to_list(max((self.dimension, *fixed.support())))
         return {
             "n": self.dimension,
             "betti_total": self.betti_total.to_list(2 * self.dimension),

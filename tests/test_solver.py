@@ -402,6 +402,21 @@ def test_k3_constraints_json():
     )
 
 
+@pytest.mark.parametrize("betti_fixed, written", [
+    ([0, 0], [0, 0]),
+    ([0, 0, 0], [0, 0]),
+    ([1], [1, 0]),
+    ([0, 0, 1], [0, 0, 1]),
+])
+def test_betti_fixed_json_length(betti_fixed, written):
+    # The fixed list runs to degree max(n, top of its support), so an
+    # empty fixed locus (a free involution) is written as n + 1 zeros.
+    data = {"n": 1, "betti_total": [2, 0, 0], "betti_fixed": betti_fixed}
+    cs = ConstraintSet.from_json_dict(data)
+    assert cs.to_json_dict()["betti_fixed"] == written
+    assert ConstraintSet.from_json_dict(cs.to_json_dict()) == cs
+
+
 def _k3_json(**changes):
     data = k3_constraints().to_json_dict()
     data.update(changes)
