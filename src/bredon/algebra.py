@@ -26,7 +26,7 @@ from .exceptions import (
     NegativeExponent,
     NegativeMultiplicity,
 )
-from .serialize import expect, int_rows
+from .serialize import expect, int_rows, known_fields
 
 __all__ = [
     "M2Element",
@@ -232,10 +232,6 @@ class GradedDims:
         object.__setattr__(self, "entries", _clean_items(self.entries, 2, "dimension"))
 
     @staticmethod
-    def from_mapping(mapping: Mapping[int, int]) -> "GradedDims":
-        return GradedDims(tuple(mapping.items()))
-
-    @staticmethod
     def from_list(dims: Iterable[int]) -> "GradedDims":
         return GradedDims(tuple(enumerate(dims)))
 
@@ -281,10 +277,6 @@ class UnivariatePolynomial:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _clean_items(self.terms, 2, "coefficient"))
-
-    @staticmethod
-    def from_mapping(mapping: Mapping[int, int]) -> "UnivariatePolynomial":
-        return UnivariatePolynomial(tuple(mapping.items()))
 
     def coefficient(self, exponent: int) -> int:
         return row_value(self.terms, (exponent,))
@@ -368,9 +360,9 @@ class BivariatePolynomial:
         return [[i, j, c] for i, j, c in self.terms]
 
     @staticmethod
-    def from_json(data, field: str = "hodge") -> "BivariatePolynomial":
+    def from_json(data) -> "BivariatePolynomial":
         shape = "[p, q, coefficient]"
-        int_rows(data, 3, field, f"a list of {shape} triples", f"{shape} integers")
+        int_rows(data, 3, "hodge", f"a list of {shape} triples", f"{shape} integers")
         return BivariatePolynomial(tuple(data))
 
     def __str__(self) -> str:
@@ -393,6 +385,9 @@ class BivariatePolynomial:
 # ---------------------------------------------------------------------------
 # Normal-form modules
 # ---------------------------------------------------------------------------
+
+
+_MODULE_KEYS = ("free", "antipodal")
 
 
 @dataclass(frozen=True)
@@ -422,19 +417,6 @@ class NormalFormModule:
     @staticmethod
     def zero() -> "NormalFormModule":
         return NormalFormModule((), ())
-
-    def validate_cw(self) -> None:
-        """Enforce the bounds satisfied by cohomology of finite complexes."""
-        for p, q, _ in self.free:
-            if not (p >= q >= 0):
-                raise ConstraintViolation(
-                    f"free summand at ({p}, {q}) violates p >= q >= 0"
-                )
-        for r, n, _ in self.antipodal:
-            if r < 0 or n < 0:
-                raise ConstraintViolation(
-                    f"antipodal summand at ({r}, {n}) violates r, n >= 0"
-                )
 
     # -- inspection ---------------------------------------------------------
 
@@ -506,14 +488,15 @@ class NormalFormModule:
         }
 
     @staticmethod
-    def from_json_dict(data, cw: bool = True, field: str = "module") -> "NormalFormModule":
-        expect(data, dict, field, "an object with 'free' and 'antipodal'")
+    def from_json_dict(data) -> "NormalFormModule":
+        expect(data, dict, "module", "an object with 'free' and 'antipodal'")
+        known_fields(data, _MODULE_KEYS, "module")
         shape, row_shape = "a list of triples", "three integers [a, b, mult]"
         free, antipodal = (
-            int_rows(data.get(part, []), 3, f"{field}.{part}", shape, row_shape)
-            for part in ("free", "antipodal")
+            int_rows(data.get(part, []), 3, f"module.{part}", shape, row_shape)
+            for part in _MODULE_KEYS
         )
-        return make_module(free, antipodal, cw=cw)
+        return make_module(free, antipodal)
 
     def summands(self) -> list[str]:
         """Human-readable summand labels in canonical order."""
@@ -543,7 +526,16 @@ def make_module(
     """
     module = NormalFormModule(tuple(free), tuple(antipodal))
     if cw:
-        module.validate_cw()
+        for p, q, _ in module.free:
+            if not (p >= q >= 0):
+                raise ConstraintViolation(
+                    f"free summand at ({p}, {q}) violates p >= q >= 0"
+                )
+        for r, n, _ in module.antipodal:
+            if r < 0 or n < 0:
+                raise ConstraintViolation(
+                    f"antipodal summand at ({r}, {n}) violates r, n >= 0"
+                )
     return module
 
 

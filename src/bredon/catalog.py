@@ -5,11 +5,13 @@ the checking operations (dimension, fixed points, connectivity, expected
 class, Hodge polynomial where one is classically known).  The families
 double as a golden corpus: the solver re-derives several of them from
 topological constraints, and the two routes cross-validate each other.
+A builder returns an entry's fields other than its name and parameters,
+which :func:`catalog_get` sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .algebra import BivariatePolynomial, NormalFormModule, make_module
 from .classification import MaximalityClass
@@ -52,10 +54,8 @@ class CatalogEntry:
         }
 
 
-def _point() -> CatalogEntry:
-    return CatalogEntry(
-        name="point",
-        parameters={},
+def _point() -> dict:
+    return dict(
         module=make_module([(0, 0, 1)]),
         dimension=0,
         has_fixed_point=True,
@@ -66,15 +66,13 @@ def _point() -> CatalogEntry:
     )
 
 
-def _representation_sphere(p: int, q: int) -> CatalogEntry:
+def _representation_sphere(p: int, q: int) -> dict:
     if not (p >= q >= 0):
         raise ParameterRange(f"representation sphere needs p >= q >= 0, got ({p}, {q})")
     # The unreduced cohomology: base class plus the reduced shifted copy.
     module = make_module([(0, 0, 1), (p, q, 1)])
     is_complex = p == 2 * q
-    return CatalogEntry(
-        name="representation_sphere",
-        parameters={"p": p, "q": q},
+    return dict(
         module=module,
         dimension=q if is_complex else None,
         has_fixed_point=True,
@@ -85,14 +83,12 @@ def _representation_sphere(p: int, q: int) -> CatalogEntry:
     )
 
 
-def _projective_space(n: int) -> CatalogEntry:
+def _projective_space(n: int) -> dict:
     if n < 0:
         raise ParameterRange(f"projective space needs n >= 0, got {n}")
     module = make_module([(2 * i, i, 1) for i in range(n + 1)])
     hodge = BivariatePolynomial(tuple((i, i, 1) for i in range(n + 1)))
-    return CatalogEntry(
-        name="projective_space",
-        parameters={"n": n},
+    return dict(
         module=module,
         dimension=n,
         has_fixed_point=True,
@@ -103,7 +99,7 @@ def _projective_space(n: int) -> CatalogEntry:
     )
 
 
-def _curve(g: int, r: int) -> CatalogEntry:
+def _curve(g: int, r: int) -> dict:
     if not (0 <= r <= g):
         raise ParameterRange(f"curve needs 0 <= r <= g, got g={g}, r={r}")
     free = [(0, 0, 1), (2, 1, 1)]
@@ -113,9 +109,7 @@ def _curve(g: int, r: int) -> CatalogEntry:
     hodge = BivariatePolynomial(
         ((0, 0, 1), (1, 1, 1)) + (((1, 0, g), (0, 1, g)) if g else ())
     )
-    return CatalogEntry(
-        name="curve",
-        parameters={"g": g, "r": r},
+    return dict(
         module=make_module(free, antipodal),
         dimension=1,
         has_fixed_point=True,
@@ -127,19 +121,8 @@ def _curve(g: int, r: int) -> CatalogEntry:
     )
 
 
-def _elliptic_curve() -> CatalogEntry:
-    return replace(
-        _curve(g=1, r=1),
-        name="elliptic_curve",
-        parameters={},
-        notes="the square lattice torus; two ovals",
-    )
-
-
-def _severi_brauer_1() -> CatalogEntry:
-    return CatalogEntry(
-        name="severi_brauer_1",
-        parameters={},
+def _severi_brauer_1() -> dict:
+    return dict(
         module=make_module([], [(0, 2, 1)]),
         dimension=1,
         has_fixed_point=False,
@@ -150,13 +133,11 @@ def _severi_brauer_1() -> CatalogEntry:
     )
 
 
-def _severi_brauer_odd(k: int) -> CatalogEntry:
+def _severi_brauer_odd(k: int) -> dict:
     if k < 0:
         raise ParameterRange(f"severi_brauer_odd needs k >= 0, got {k}")
     module = make_module([], [(4 * i, 2, 1) for i in range(k + 1)])
-    return CatalogEntry(
-        name="severi_brauer_odd",
-        parameters={"k": k},
+    return dict(
         module=module,
         dimension=2 * k + 1,
         has_fixed_point=False,
@@ -167,10 +148,8 @@ def _severi_brauer_odd(k: int) -> CatalogEntry:
     )
 
 
-def _twisted_plane() -> CatalogEntry:
-    return CatalogEntry(
-        name="twisted_plane",
-        parameters={},
+def _twisted_plane() -> dict:
+    return dict(
         module=make_module([(0, 0, 1), (1, 1, 1), (2, 1, 1)]),
         dimension=1,
         has_fixed_point=True,
@@ -185,7 +164,7 @@ def _twisted_plane() -> CatalogEntry:
 K3_HODGE = BivariatePolynomial(((0, 0, 1), (2, 0, 1), (0, 2, 1), (1, 1, 20), (2, 2, 1)))
 
 
-def _k3(b_star: int, chi: int) -> CatalogEntry:
+def _k3(b_star: int, chi: int) -> dict:
     if (b_star + chi) % 4 or (b_star - chi) % 2 or (24 - b_star) % 2:
         raise ParameterRange(
             f"k3 needs (b_star + chi) % 4 == 0 and even b_star - chi, 24 - b_star; "
@@ -205,9 +184,7 @@ def _k3(b_star: int, chi: int) -> CatalogEntry:
     if b:
         free += [(2, 1, b)]
     antipodal = [(2, 0, c)] if c else []
-    return CatalogEntry(
-        name="k3",
-        parameters={"b_star": b_star, "chi": chi},
+    return dict(
         module=make_module(free, antipodal),
         dimension=2,
         has_fixed_point=True,
@@ -220,26 +197,15 @@ def _k3(b_star: int, chi: int) -> CatalogEntry:
     )
 
 
-def _k3_hodge_expressive() -> CatalogEntry:
-    return replace(
-        _k3(b_star=24, chi=-16),
-        name="k3_hodge_expressive",
-        parameters={},
-        notes="the maximal K3 with b_star = 24, chi = -16; Hodge-expressive",
-    )
-
-
 CUBIC_HODGE = BivariatePolynomial(
     ((0, 0, 1), (1, 1, 1), (2, 1, 5), (1, 2, 5), (2, 2, 1), (3, 0, 1), (0, 3, 1))
 )
 
 
-def _cubic_threefold() -> CatalogEntry:
+def _cubic_threefold() -> dict:
     free = [(0, 0, 1), (2, 1, 1), (3, 0, 1), (3, 3, 1), (4, 2, 1), (6, 3, 1)]
     antipodal = [(3, 0, 4)]
-    return CatalogEntry(
-        name="cubic_threefold_s3_rp3",
-        parameters={},
+    return dict(
         module=make_module(free, antipodal),
         dimension=3,
         has_fixed_point=True,
@@ -253,6 +219,8 @@ def _cubic_threefold() -> CatalogEntry:
     )
 
 
+# name -> (builder, parameter schema); an alias row renames another builder's
+# entry and gives it its own notes
 _FAMILIES = {
     "point": (_point, {}),
     "representation_sphere": (
@@ -260,7 +228,10 @@ _FAMILIES = {
         {"p": "topological degree, p >= q", "q": "weight, q >= 0"},
     ),
     "projective_space": (_projective_space, {"n": "complex dimension, n >= 0"}),
-    "elliptic_curve": (_elliptic_curve, {}),
+    "elliptic_curve": (
+        lambda: {**_curve(g=1, r=1), "notes": "the square lattice torus; two ovals"},
+        {},
+    ),
     "curve": (
         _curve,
         {"g": "genus, g >= 0", "r": "number of ovals minus one, 0 <= r <= g"},
@@ -275,7 +246,13 @@ _FAMILIES = {
             "chi": "Euler characteristic of the real part, b_star + chi in 4Z",
         },
     ),
-    "k3_hodge_expressive": (_k3_hodge_expressive, {}),
+    "k3_hodge_expressive": (
+        lambda: {
+            **_k3(b_star=24, chi=-16),
+            "notes": "the maximal K3 with b_star = 24, chi = -16; Hodge-expressive",
+        },
+        {},
+    ),
     "cubic_threefold_s3_rp3": (_cubic_threefold, {}),
 }
 
@@ -296,7 +273,8 @@ def catalog_get(name: str, **parameters: int) -> CatalogEntry:
         value = parameters[key]
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParameterRange(f"parameter {key!r} must be an integer, got {value!r}")
-    return builder(**parameters)
+    parameters = {key: parameters[key] for key in schema}  # in schema order
+    return CatalogEntry(name=name, parameters=parameters, **builder(**parameters))
 
 
 def catalog_list() -> list[dict]:

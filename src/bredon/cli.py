@@ -67,10 +67,7 @@ _INPUT_ERRORS = (
 )
 
 
-def _add_input_args(parser: argparse.ArgumentParser, constraints: bool = False):
-    if constraints:
-        parser.add_argument("--constraints", metavar="FILE", required=True)
-        return
+def _add_input_args(parser: argparse.ArgumentParser):
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--catalog", metavar="NAME")
     source.add_argument("--module", metavar="FILE")
@@ -137,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("predict", "apply the GM sufficiency criteria"),
     ):
         p = sub.add_parser(verb, help=description)
-        _add_input_args(p, constraints=True)
+        p.add_argument("--constraints", metavar="FILE", required=True)
         if verb == "predict":
             _add_format_arg(p)
         # command-line overrides for the corresponding constraint-file fields
@@ -225,6 +222,8 @@ def _emit(args, json_payload, table: Callable[[], str]):
 
 def _resolve_dim(args, entry) -> int:
     if args.dim is not None:
+        if args.dim < 0:
+            raise SchemaError("dim", f"expected a nonnegative integer, got {args.dim}")
         return args.dim
     if entry is not None and entry.dimension is not None:
         return entry.dimension

@@ -23,7 +23,7 @@ check those symmetries together with the positional bounds they force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (
     GradedDims,
@@ -33,7 +33,6 @@ from .algebra import (
     rank_polynomial,
     row_value,
 )
-from .serialize import expect, int_rows
 
 __all__ = [
     "C2GradedSpace",
@@ -96,12 +95,6 @@ class C2GradedSpace:
     def total_dimension(self) -> int:
         return self.dims().total()
 
-    def shift(self, offset: int) -> "C2GradedSpace":
-        return C2GradedSpace(
-            tuple((d + offset, c) for d, c in self.trivial),
-            tuple((d + offset, c) for d, c in self.regular),
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "trivial": [[d, c] for d, c in self.trivial],
@@ -140,17 +133,6 @@ class BorelModule:
             "torsion": [[r, n, c] for r, n, c in self.torsion],
         }
 
-    @staticmethod
-    def from_json_dict(data, field_name: str = "borel") -> "BorelModule":
-        expect(data, dict, field_name, "an object with 'free' and 'torsion'")
-        free, torsion = (
-            int_rows(
-                data.get(name, []), w, f"{field_name}.{name}", "a list", f"{w} integers"
-            )
-            for name, w in (("free", 2), ("torsion", 3))
-        )
-        return BorelModule(tuple(free), tuple(torsion))
-
     def summands(self) -> list[str]:
         out = []
         for p, c in self.free:
@@ -176,7 +158,7 @@ class HomologyModule:
 
     free: tuple[tuple[int, int, int], ...] = ()
     antipodal: tuple[tuple[int, int, int], ...] = ()
-    opposite_grading: bool = True
+    opposite_grading = True  # a class constant, not a field
 
     def __post_init__(self):
         object.__setattr__(self, "free", merge_rows(self.free, 3))
@@ -205,8 +187,11 @@ class PdViolation:
 
 @dataclass(frozen=True)
 class PdReport:
-    holds: bool
     violations: tuple[PdViolation, ...] = ()
+
+    @property
+    def holds(self) -> bool:
+        return not self.violations
 
     def to_json_dict(self) -> dict:
         return {
@@ -231,9 +216,12 @@ class ValidationFailure:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    passed: bool
-    failures: tuple[ValidationFailure, ...] = ()
-    pd: PdReport = field(default_factory=lambda: PdReport(True))
+    failures: tuple[ValidationFailure, ...]
+    pd: PdReport
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def to_json_dict(self) -> dict:
         return {
@@ -349,7 +337,7 @@ def pd_symmetric(module: NormalFormModule, dimension: int) -> PdReport:
         other = anti.get(mirror, 0)
         if other != count:
             violations.append(PdViolation("antipodal", (s, t), mirror, count, other))
-    return PdReport(not violations, tuple(violations))
+    return PdReport(tuple(violations))
 
 
 def real_manifold_validate(
@@ -361,8 +349,7 @@ def real_manifold_validate(
     """All restrictions satisfied by a compact Real manifold of that dimension.
 
     Violations are collected exhaustively (one entry per failed condition,
-    listing every offending key) rather than failing fast, so a single pass
-    can drive both user-facing validation and search pruning.
+    listing every offending key) rather than failing fast.
     """
     n = dimension
     failures: list[ValidationFailure] = []
@@ -426,4 +413,4 @@ def real_manifold_validate(
             )
         )
 
-    return ValidationReport(not failures, tuple(failures), pd)
+    return ValidationReport(tuple(failures), pd)

@@ -12,7 +12,9 @@ from pathlib import Path
 
 from .exceptions import ParseError, SchemaError
 
-__all__ = ["canonical_dumps", "parse_json", "load_json_file", "expect", "int_rows"]
+__all__ = [
+    "canonical_dumps", "parse_json", "load_json_file", "expect", "known_fields", "int_rows"
+]
 
 _KINDS = {int: "an integer", bool: "a boolean", list: "a list", str: "a string", dict: "an object"}
 
@@ -58,6 +60,13 @@ def expect(value, kind, field: str, what: str | None = None, minimum: int | None
     ):
         raise SchemaError(field, f"expected {what or _KINDS[kind]}")
     return value
+
+
+def known_fields(data: dict, keys: tuple, field: str) -> None:
+    """SchemaError on the first key of the object ``data`` not in ``keys``."""
+    for key in data:
+        if key not in keys:
+            raise SchemaError(f"{field}.{key}", "unknown field")
 
 
 def int_rows(value, width: int, field: str, shape: str, row_shape: str) -> list:

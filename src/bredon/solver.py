@@ -28,9 +28,7 @@ trying every multiplicity they allow, and keeps the edges that lead to a
 completion.  A budget must be spent once no later slot charges it
 (``closing``), which is how each degree's units are used up exactly; every
 slot uses units of its own degree, so once those are spent the search jumps
-to the next degree.  A state with a single live edge hands up its child's
-edges, each prefixed by its own choice, so the walk that reads the modules
-off the paths skips chains of forced choices.
+to the next degree.
 
 Every module the search produces is re-checked through the public
 localization and classification operations before it is returned, so the
@@ -59,7 +57,7 @@ from .localization import (
     rho_localize,
     singular_betti,
 )
-from .serialize import expect
+from .serialize import expect, known_fields
 
 __all__ = [
     "ConstraintSet",
@@ -145,11 +143,10 @@ class ConstraintSet:
         }
 
     @staticmethod
-    def from_json_dict(data, field: str = "constraints") -> "ConstraintSet":
+    def from_json_dict(data) -> "ConstraintSet":
+        field = "constraints"
         expect(data, dict, field)
-        for key in data:
-            if key not in _CONSTRAINT_KEYS:
-                raise SchemaError(f"{field}.{key}", "unknown field")
+        known_fields(data, _CONSTRAINT_KEYS, field)
         if "n" not in data:
             raise SchemaError(f"{field}.n", "missing required field")
         n = expect(data["n"], int, f"{field}.n", "a nonnegative integer", minimum=0)
@@ -264,11 +261,7 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
                 edges.append((free_seg, anti_seg, child))
         for e, k in charges:
             budget[e] += cap * k
-        if len(edges) != 1:
-            return edges
-        # a state with one way on stands for its child, with this segment first
-        free_seg, anti_seg, child = edges[0]
-        return [(free_seg + f, anti_seg + a, grandchild) for f, a, grandchild in memo[child]]
+        return edges
 
     results: list[NormalFormModule] = []
 
@@ -357,7 +350,11 @@ class MaximalityPrediction:
     """Outcome of a sufficiency criterion for Galois-maximality."""
 
     applicable: bool
-    prediction: str | None = None  # "GM" when applicable
+
+    @property
+    def prediction(self) -> str | None:
+        """``"GM"`` exactly when the criterion applies, else None."""
+        return "GM" if self.applicable else None
 
     def admits(self, klass: MaximalityClass) -> bool:
         """Whether a classification is consistent with the prediction."""
@@ -377,7 +374,7 @@ def krasnov_predict(cs: ConstraintSet) -> MaximalityPrediction:
         and cs.poincare_dual
         and cs.betti_total.get(1) == 0
     )
-    return MaximalityPrediction(applicable, "GM" if applicable else None)
+    return MaximalityPrediction(applicable)
 
 
 def threefold_predict(cs: ConstraintSet) -> MaximalityPrediction:
@@ -390,4 +387,4 @@ def threefold_predict(cs: ConstraintSet) -> MaximalityPrediction:
         and cs.forgetful_onto_degrees is not None
         and 4 in cs.forgetful_onto_degrees
     )
-    return MaximalityPrediction(applicable, "GM" if applicable else None)
+    return MaximalityPrediction(applicable)

@@ -235,3 +235,13 @@ def test_json_schema_errors():
         NormalFormModule.from_json_dict({"free": [[1, 2]]})
     with pytest.raises(SchemaError):
         NormalFormModule.from_json_dict({"free": [], "antipodal": [[0, 0, "x"]]})
+
+
+def test_json_unknown_field():
+    # a misspelled part is an error, not a module without that part
+    with pytest.raises(SchemaError) as info:
+        NormalFormModule.from_json_dict(
+            {"free": [[0, 0, 1], [2, 1, 1]], "antipodel": [[1, 0, 3]]}
+        )
+    assert info.value.field == "module.antipodel"
+    assert str(info.value) == "module.antipodel: unknown field"

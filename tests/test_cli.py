@@ -105,6 +105,13 @@ def test_pd_check_failure_exit_code(capsys):
     assert code == 0
 
 
+def test_negative_dim_is_an_input_error(capsys):
+    for verb, dim in (("pd-check", "-1"), ("validate", "-3")):
+        code, out, err = run(capsys, verb, "--catalog", "point", "--dim", dim)
+        assert code == 2 and out == ""
+        assert err == f"error[SCHEMA_ERROR]: dim: expected a nonnegative integer, got {dim}\n"
+
+
 def test_validate(capsys):
     code, out, _ = run(capsys, "validate", "--catalog", "cubic_threefold_s3_rp3",
                        "--format", "json")
@@ -226,6 +233,18 @@ def test_module_file_input(tmp_path, capsys):
     path.write_text(canonical_dumps(module.to_json_dict()))
     code, out, _ = run(capsys, "classify", "--module", str(path))
     assert code == 0 and out.strip() == "NEITHER"
+
+
+def test_module_file_unknown_field_exits_2(tmp_path, capsys):
+    typo = tmp_path / "typo.json"
+    typo.write_text('{"free": [[0,0,1],[2,1,1]], "antipodel": [[1,0,3]]}')
+    code, out, err = run(capsys, "classify", "--module", str(typo))
+    assert code == 2 and out == ""
+    assert err == "error[SCHEMA_ERROR]: module.antipodel: unknown field\n"
+    # a constraints file is not a module file
+    code, out, err = run(capsys, "show", "--module", str(DEMO_DATA / "k3_s2s2.json"))
+    assert code == 2 and out == ""
+    assert err == "error[SCHEMA_ERROR]: module.n: unknown field\n"
 
 
 def test_malformed_inputs_exit_2(tmp_path, capsys):
