@@ -25,6 +25,7 @@ from .exceptions import (
     InvalidShift,
     NegativeExponent,
     NegativeMultiplicity,
+    SchemaError,
 )
 from .serialize import expect, int_rows, known_fields
 
@@ -362,7 +363,11 @@ class BivariatePolynomial:
     @staticmethod
     def from_json(data) -> "BivariatePolynomial":
         shape = "[p, q, coefficient]"
-        int_rows(data, 3, "hodge", f"a list of {shape} triples", f"{shape} integers")
+        row_shape = f"{shape} nonnegative integers"
+        int_rows(data, 3, "hodge", f"a list of {shape} triples", row_shape)
+        for k, row in enumerate(data):
+            if min(row) < 0:
+                raise SchemaError(f"hodge[{k}]", f"expected {row_shape}")
         return BivariatePolynomial(tuple(data))
 
     def __str__(self) -> str:

@@ -1,9 +1,8 @@
 """Command-line frontend: every operation over JSON files or catalog entries.
 
-Exit codes: 0 on success, 1 when a requested check fails (the report is
-still emitted), 2 on malformed input (parse errors, schema errors, unknown
-catalog names or parameters, infeasible constraint data, a search too deep
-to run).
+Exit codes: 0 on success, 1 when ``pd-check`` or ``validate`` fails (the
+report is still emitted), 2 on any error: its code goes to stderr and
+nothing to stdout.
 
 ``--format json`` never builds table text: each verb hands ``_emit`` a
 function that renders its table, called only under ``--format table``.
@@ -25,18 +24,7 @@ from .classification import (
     hodge_expressive_check,
     smith_thom_report,
 )
-from .exceptions import (
-    BredonError,
-    ConstraintViolation,
-    InfeasibleBounds,
-    NegativeMultiplicity,
-    ParameterRange,
-    ParseError,
-    SchemaError,
-    SearchTooDeep,
-    TorsionUnknown,
-    UnknownName,
-)
+from .exceptions import BredonError, SchemaError
 from .localization import (
     fixed_poincare_polynomial,
     forgetful_image_dims,
@@ -52,18 +40,6 @@ from .solver import (
     enumerate_decompositions,
     krasnov_predict,
     threefold_predict,
-)
-
-_INPUT_ERRORS = (
-    ParseError,
-    SchemaError,
-    UnknownName,
-    ParameterRange,
-    ConstraintViolation,
-    NegativeMultiplicity,
-    InfeasibleBounds,
-    SearchTooDeep,
-    TorsionUnknown,
 )
 
 
@@ -437,12 +413,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
     except BredonError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

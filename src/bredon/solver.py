@@ -20,12 +20,15 @@ Keys the forgetful or class rules forbid are never offered.
 
 **Slot-level memo.**  Every exact-sum budget is one entry of a single
 list: the singular Betti numbers of degrees 0..2n, then, when given, the
-fixed-locus ones (fixed degree f at index 2n + 1 + f).  The orbit
-representatives form one degree-ordered list of slots.  What can still
-happen from slot i on depends only on the state ``(i, budgets)``; each
-state is expanded once, passing over slots the budgets leave no copy of and
-trying every multiplicity they allow, and keeps the edges that lead to a
-completion.  A budget must be spent once no later slot charges it
+fixed-locus ones (fixed degree f at index 2n + 1 + f).  The plan is built
+from the data.  Budgets only go down, so an orbit representative becomes a
+slot only when every budget it charges starts positive; degrees of Betti
+number 0 have no slots, and the plan grows with the data rather than with
+n.  The slots form one degree-ordered list.  What can still happen from
+slot i on depends only on the state ``(i, budgets)``; each state is
+expanded once, passing over slots whose budgets ran out earlier in the
+search and trying every multiplicity they allow, and keeps the edges that
+lead to a completion.  A budget must be spent once no later slot charges it
 (``closing``), which is how each degree's units are used up exactly; every
 slot uses units of its own degree, so once those are spent the search jumps
 to the next degree.
@@ -225,7 +228,7 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
         budget += cs.betti_fixed.to_list(2 * n)
 
     slots, closing = _search_plan(
-        n, cs.poincare_dual, cs.has_fixed_point, cs.betti_fixed is not None,
+        n, tuple(b > 0 for b in budget), cs.poincare_dual, cs.has_fixed_point,
         cs.forgetful_onto_degrees or frozenset(), cs.class_filter,
     )
 
@@ -234,7 +237,7 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
     memo: dict[tuple, list] = {}
 
     def build(i):
-        while True:  # pass over the slots the budgets leave no copy of
+        while True:  # pass over the slots whose budgets ran out on the way here
             if any(budget[e] for e in closing[i]):
                 return []
             if i == len(slots):
@@ -286,25 +289,28 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
 
 
 @lru_cache(maxsize=64)
-def _search_plan(n, poincare_dual, has_fixed_point, fixed_given, forgetful, klass):
+def _search_plan(n, positive, poincare_dual, has_fixed_point, forgetful, klass):
     """The orbit slots in degree order, and the budgets closing at each slot.
 
-    Budget indices are those of the search's budget vector: degree e of the
-    singular Betti numbers at e, and, when ``fixed_given``, fixed degree f
+    ``positive[e]`` says whether entry e of the search's budget vector starts
+    above 0: degree e of the singular Betti numbers at e, and, when the
+    fixed locus is given (``positive`` is then twice as long), fixed degree f
     at 2n + 1 + f.  Orbit representatives of degrees 0..last are slots,
-    last = n under duality and 2n otherwise.  A slot is ``(charges,
-    free_keys, antipodal_keys, after)``: the (budget index, units) pairs one
-    copy of the orbit uses, starting with its own degree, the keys it sets,
-    and the index of the first slot of the next degree.  Keys the forgetful
-    or class rules forbid are left out.  ``closing[i]`` lists the budgets
-    that must be spent by slot i: those last charged at slot i - 1 or in
-    the degree before slot i (the jump target of a spent degree), and, at
-    i = 0, those no slot charges.
+    last = n under duality and 2n otherwise, but only those whose every
+    charged budget starts positive: budgets only go down, so no other could
+    take a copy.  A slot is ``(charges, free_keys, antipodal_keys, after)``:
+    the (budget index, units) pairs one copy of the orbit uses, starting with
+    its own degree, the keys it sets, and the index of the first slot of the
+    next degree.  Keys the forgetful or class rules forbid are left out.
+    ``closing[i]`` lists the positive budgets that must be spent by slot i:
+    those last charged at slot i - 1 or in the degree before slot i (the jump
+    target of a spent degree), and, at i = 0, those no slot charges.
     """
     top = 2 * n
     last = n if poincare_dual else top
     min_shift = 1 if has_fixed_point else 0
     span_cap = top - 1 if has_fixed_point else top
+    fixed_given = len(positive) > top + 1
 
     def orbit(key, mirror):
         """The keys a representative stands for; None when it stands for none."""
@@ -314,6 +320,8 @@ def _search_plan(n, poincare_dual, has_fixed_point, fixed_given, forgetful, klas
 
     slots = []
     for d in range(last + 1):
+        if not positive[d]:  # every slot of degree d charges budget d
+            continue
         members = []
         for q in range(min(d, n) + 1):
             keys = orbit((d, q), (top - d, n - q))
@@ -326,7 +334,7 @@ def _search_plan(n, poincare_dual, has_fixed_point, fixed_given, forgetful, klas
                     continue
                 if all(r + span not in forgetful for r, span in keys):
                     members.append(((), keys))
-        after = len(slots) + len(members)
+        kept = []
         for free_keys, anti_keys in members:
             # the budget index of every unit one copy of the orbit uses, its
             # own degree first
@@ -335,13 +343,17 @@ def _search_plan(n, poincare_dual, has_fixed_point, fixed_given, forgetful, klas
                 units += [r, r + t]
             if fixed_given:
                 units += [top + 1 + p - q for p, q in free_keys]
-            slots.append((tuple(Counter(units).items()), free_keys, anti_keys, after))
+            if all(positive[e] for e in units):
+                kept.append((tuple(Counter(units).items()), free_keys, anti_keys))
+        after = len(slots) + len(kept)
+        slots += [(*slot, after) for slot in kept]
 
     final = {e: {i + 1, slot[3]} for i, slot in enumerate(slots) for e, _ in slot[0]}
     closing = [[] for _ in range(len(slots) + 1)]
-    for e in range(2 * (top + 1) if fixed_given else top + 1):
-        for i in final.get(e, {0}):
-            closing[i].append(e)
+    for e in range(len(positive)):
+        if positive[e]:
+            for i in final.get(e, {0}):
+                closing[i].append(e)
     return slots, closing
 
 

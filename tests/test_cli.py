@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from bredon import ConstraintSet, GradedDims, catalog_get
+from bredon import BredonError, ConstraintSet, GradedDims, SchemaError, catalog_get
 from bredon.cli import main
 from bredon.serialize import canonical_dumps
 
@@ -146,6 +146,17 @@ def test_hodge_from_file(tmp_path, capsys):
     assert code == 2 and "TORSION_UNKNOWN" in err
 
 
+@pytest.mark.parametrize("rows", ["[[-1,0,1],[0,0,1]]", "[[0,0,-1]]"])
+def test_negative_hodge_entry_exits_2(tmp_path, capsys, rows):
+    hodge_file = tmp_path / "hodge.json"
+    hodge_file.write_text(rows)
+    code, out, err = run(capsys, "hodge", "--catalog", "point", "--hodge", str(hodge_file))
+    assert code == 2 and out == ""
+    assert err == (
+        "error[SCHEMA_ERROR]: hodge[0]: expected [p, q, coefficient] nonnegative integers\n"
+    )
+
+
 def test_solve_streams_k3(tmp_path, capsys):
     constraints = ConstraintSet(
         dimension=2,
@@ -225,6 +236,26 @@ def test_search_too_deep_exits_2(tmp_path, capsys):
         "error[SEARCH_TOO_DEEP]: the search for n=50 nests deeper than the "
         "interpreter's recursion limit\n"
     )
+
+
+def test_solve_point_in_high_dimension(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text('{"n": 300, "betti_total": [1]}')
+    code, out, err = run(capsys, "solve", "--constraints", str(path))
+    assert (code, out, err) == (0, '{"free":[[0,0,1]],"antipodal":[]}\n', "")
+
+
+@pytest.mark.parametrize("error", BredonError.__subclasses__())
+def test_every_error_exits_2(monkeypatch, capsys, error):
+    import bredon.cli
+
+    def fail(args):
+        raise error("field", "message") if error is SchemaError else error("message")
+
+    monkeypatch.setattr(bredon.cli, "_run", fail)
+    code, out, err = run(capsys, "catalog")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error[{error.code}]: ")
 
 
 def test_module_file_input(tmp_path, capsys):

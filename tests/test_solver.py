@@ -21,6 +21,7 @@ from bredon import (
     underlying_singular,
 )
 from bredon.serialize import canonical_dumps
+from bredon.solver import _search_plan
 
 from bruteforce import brute_force_decompositions
 
@@ -363,6 +364,28 @@ def test_search_too_deep():
     assert str(info.value) == (
         "the search for n=50 nests deeper than the interpreter's recursion limit"
     )
+
+
+def test_plan_follows_the_data():
+    """Only keys whose every charged budget starts positive become slots."""
+    n = 300
+    positive = (True,) + (False,) * (2 * n)
+    slots, closing = _search_plan(n, positive, False, False, frozenset(), None)
+    # a point offers M2[0,0] and A0[0], not one slot per key of degrees 0..600
+    assert [(free, anti) for _, free, anti, _ in slots] == [(((0, 0),), ()), ((), ((0, 0),))]
+    assert closing == [[], [], [0]]
+    cs = ConstraintSet(dimension=n, betti_total=GradedDims.from_list([1]))
+    assert [m.to_json_dict() for m in enumerate_decompositions(cs)] == [
+        {"free": [[0, 0, 1]], "antipodal": []}
+    ]
+    for cs in (k3_constraints(), cubic_constraints()):
+        budget = cs.betti_total.to_list(2 * cs.dimension)
+        budget += cs.betti_fixed.to_list(2 * cs.dimension)
+        positive = tuple(b > 0 for b in budget)
+        forgetful = cs.forgetful_onto_degrees or frozenset()
+        slots, closing = _search_plan(cs.dimension, positive, True, True, forgetful, None)
+        assert all(positive[e] for charges, *_ in slots for e, _ in charges)
+        assert all(positive[e] for budgets in closing for e in budgets)
 
 
 def test_constraint_set_invariants():
