@@ -322,21 +322,30 @@ def pd_symmetric(module: NormalFormModule, dimension: int) -> PdReport:
     """Check the duality mirror symmetries of both multiplicity maps.
 
     A key whose mirrored multiplicity differs is reported once, from the
-    side where the key is actually present.
+    side where the key is actually present.  The free mirror
+    (p, q) -> (2n - p, n - q) reverses the canonical order, so a symmetric
+    free part equals its mirrored rows read backwards; the antipodal mirror
+    does not, so its mirrored rows are sorted.  The multiplicity maps are
+    built only for a part that differs from its mirror.
     """
+    n = dimension
     violations = []
-    free = module.free_map()
-    for p, q, count in module.free:
-        mirror = (2 * dimension - p, dimension - q)
-        other = free.get(mirror, 0)
-        if other != count:
-            violations.append(PdViolation("free", (p, q), mirror, count, other))
-    anti = module.antipodal_map()
-    for s, t, count in module.antipodal:
-        mirror = (2 * dimension - s - t, t)
-        other = anti.get(mirror, 0)
-        if other != count:
-            violations.append(PdViolation("antipodal", (s, t), mirror, count, other))
+    free = module.free
+    if free != tuple((2 * n - p, n - q, m) for p, q, m in reversed(free)):
+        counts = module.free_map()
+        for p, q, count in free:
+            mirror = (2 * n - p, n - q)
+            other = counts.get(mirror, 0)
+            if other != count:
+                violations.append(PdViolation("free", (p, q), mirror, count, other))
+    anti = module.antipodal
+    if anti != tuple(sorted((2 * n - s - t, t, m) for s, t, m in anti)):
+        counts = module.antipodal_map()
+        for s, t, count in anti:
+            mirror = (2 * n - s - t, t)
+            other = counts.get(mirror, 0)
+            if other != count:
+                violations.append(PdViolation("antipodal", (s, t), mirror, count, other))
     return PdReport(tuple(violations))
 
 
@@ -352,6 +361,7 @@ def real_manifold_validate(
     listing every offending key) rather than failing fast.
     """
     n = dimension
+    top = 2 * n
     failures: list[ValidationFailure] = []
 
     bad = tuple((p, q) for p, q, _ in module.free if q > n)
@@ -360,25 +370,40 @@ def real_manifold_validate(
             ValidationFailure("free_weight_bound", bad, f"requires q <= {n}")
         )
 
-    bad = tuple((r, t) for r, t, _ in module.antipodal if r + t > 2 * n)
-    if bad:
+    # One pass over the antipodal rows: the three bound lists, and their
+    # lines in degree 0 of underlying_singular (at r and at r + n; cw=False
+    # keys can put either there).
+    span, shift, strict = [], [], []
+    b0 = 0
+    for r, t, m in module.antipodal:
+        end = r + t
+        if end >= top:
+            strict.append((r, t))
+            if end > top:
+                span.append((r, t))
+        if r <= 0:
+            shift.append((r, t))
+            if r == 0:
+                b0 += m
+        if end == 0:
+            b0 += m
+
+    if span:
         failures.append(
-            ValidationFailure("antipodal_span_bound", bad, f"requires r + n <= {2 * n}")
+            ValidationFailure("antipodal_span_bound", tuple(span), f"requires r + n <= {top}")
         )
 
     if has_fixed_point:
-        bad = tuple((r, t) for r, t, _ in module.antipodal if r <= 0)
-        if bad:
+        if shift:
             failures.append(
                 ValidationFailure(
-                    "antipodal_positive_shift", bad, "fixed point forces r > 0"
+                    "antipodal_positive_shift", tuple(shift), "fixed point forces r > 0"
                 )
             )
-        bad = tuple((r, t) for r, t, _ in module.antipodal if r + t >= 2 * n)
-        if bad:
+        if strict:
             failures.append(
                 ValidationFailure(
-                    "antipodal_span_strict", bad, f"fixed point forces r + n < {2 * n}"
+                    "antipodal_span_strict", tuple(strict), f"fixed point forces r + n < {top}"
                 )
             )
         if connected and (units := module.free_rank(0, 0)) != 1:
@@ -392,10 +417,8 @@ def real_manifold_validate(
             )
 
     if connected:
-        # underlying_singular(module).dimension(0): lines at p, and at r and r + n.
-        b0 = sum(m for p, _, m in module.free if p == 0) + sum(
-            m * ((r == 0) + (r + t == 0)) for r, t, m in module.antipodal
-        )
+        # underlying_singular(module).dimension(0): a line per free row at p = 0
+        b0 += sum(m for p, _, m in module.free if p == 0)
         if b0 != 1:
             failures.append(
                 ValidationFailure(

@@ -20,7 +20,13 @@ Keys the forgetful or class rules forbid are never offered.
 
 **Slot-level memo.**  Every exact-sum budget is one entry of a single
 list: the singular Betti numbers of degrees 0..2n, then, when given, the
-fixed-locus ones (fixed degree f at index 2n + 1 + f).  The plan is built
+fixed-locus ones (fixed degree f at index 2n + 1 + f), and last, under the
+class filters GALOIS_MAXIMAL_ONLY and NEITHER, the class entry.  It starts
+at 1, meaning the antipodal summand the class needs is still missing (any
+for GALOIS_MAXIMAL_ONLY, which is offered only 0-spheres; one of positive
+sphere dimension for NEITHER), and a copy of a summand of that kind clears
+it to 0; it is not charged per copy and bounds no multiplicity.  MAXIMAL
+needs no entry, since it is offered no antipodal key.  The plan is built
 from the data.  Budgets only go down, so an orbit representative becomes a
 slot only when every budget it charges starts positive; degrees of Betti
 number 0 have no slots, and the plan grows with the data rather than with
@@ -31,18 +37,22 @@ search and trying every multiplicity they allow, and keeps the edges that
 lead to a completion.  A budget must be spent once no later slot charges it
 (``closing``), which is how each degree's units are used up exactly; every
 slot uses units of its own degree, so once those are spent the search jumps
-to the next degree.
+to the next degree.  A starting budget that is not a multiple of the gcd of
+the units its slots charge it cannot be spent exactly, so such data gets no
+slots at all.
 
 Every module the search produces is re-checked through the public
 localization and classification operations before it is returned, so the
-output is sound by construction.  The search offers only keys in a box:
-free weights q <= n and, with ``has_fixed_point``, antipodal shifts r >= 1
-with r + t <= 2n - 1.  The re-check enforces these bounds only under
-duality, so without it the box can leave out modules that meet the
-constraints: n=1 ``[1,0,1]`` without flags omits ``M2[0,0] + M2[2,2]``, and
-n=1 ``[2,1,0]`` with a fixed point omits ``M2[0,0] + A1[0]``.  Within the
-box the pruning only affects speed.  The search is single-threaded; output
-is canonically sorted so it does not depend on exploration order.
+output is sound by construction; on the exhaustive box sweeps of the tests
+the re-check rejects none, under every class filter.  The search offers
+only keys in a box: free weights q <= n and, with ``has_fixed_point``,
+antipodal shifts r >= 1 with r + t <= 2n - 1.  The re-check enforces these
+bounds only under duality, so without it the box can leave out modules
+that meet the constraints: n=1 ``[1,0,1]`` without flags omits
+``M2[0,0] + M2[2,2]``, and n=1 ``[2,1,0]`` with a fixed point omits
+``M2[0,0] + A1[0]``.  Within the box the pruning only affects speed.  The
+search is single-threaded; output is canonically sorted so it does not
+depend on exploration order.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from .algebra import GradedDims, NormalFormModule, make_module
 from .classification import MaximalityClass, classify
@@ -216,6 +227,13 @@ def satisfies_constraints(cs: ConstraintSet, module: NormalFormModule) -> bool:
     return True
 
 
+# The least sphere dimension t of the antipodal summand a class filter needs
+# at least one of: any for GALOIS_MAXIMAL_ONLY (whose search offers only
+# t = 0), a positive one for NEITHER.  MAXIMAL needs none and is offered no
+# antipodal key.
+_NEEDED_SPHERE = {MaximalityClass.GALOIS_MAXIMAL_ONLY: 0, MaximalityClass.NEITHER: 1}
+
+
 def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
     """All normal forms consistent with the constraints, canonically sorted.
 
@@ -226,9 +244,11 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
     budget = cs.betti_total.to_list(2 * n)
     if cs.betti_fixed is not None:
         budget += cs.betti_fixed.to_list(2 * n)
+    if cs.class_filter in _NEEDED_SPHERE:
+        budget.append(1)  # the class entry: the summand the class needs is missing
 
     slots, closing = _search_plan(
-        n, tuple(b > 0 for b in budget), cs.poincare_dual, cs.has_fixed_point,
+        n, tuple(budget), cs.poincare_dual, cs.has_fixed_point,
         cs.forgetful_onto_degrees or frozenset(), cs.class_filter,
     )
 
@@ -242,16 +262,19 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
                 return []
             if i == len(slots):
                 return [((), (), None)]
-            charges, free_keys, anti_keys, after = slots[i]
+            charges, free_keys, anti_keys, clears, after = slots[i]
             cap = min(budget[e] // k for e, k in charges)
             if cap:
                 break
             i = i + 1 if budget[charges[0][0]] else after
+        missing = budget[-1]  # the class entry, when the slot clears it
         edges = []
         for c in range(cap + 1):
             if c:
                 for e, k in charges:
                     budget[e] -= k
+                if clears:
+                    budget[-1] = 0
             # once its own degree is spent, no later slot of that degree fits
             nxt = i + 1 if budget[charges[0][0]] else after
             child = (nxt, tuple(budget))
@@ -264,6 +287,8 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
                 edges.append((free_seg, anti_seg, child))
         for e, k in charges:
             budget[e] += cap * k
+        if clears:
+            budget[-1] = missing
         return edges
 
     results: list[NormalFormModule] = []
@@ -288,29 +313,52 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
     return results
 
 
+def _search_plan(n, budget, poincare_dual, has_fixed_point, forgetful, klass):
+    """The slots and closing lists of :func:`_orbit_plan` for these budgets.
+
+    No slots at all when a starting budget is not a multiple of the gcd of
+    the units its slots charge it: no choice of multiplicities spends it
+    exactly.  Under duality this ends an odd middle Betti number of odd n at
+    once, since every orbit charges that degree two units.
+    """
+    slots, closing, units = _orbit_plan(
+        n, tuple(b > 0 for b in budget), poincare_dual, has_fixed_point, forgetful, klass
+    )
+    if any(budget[e] % k for e, k in units):
+        return [], [[e for e, b in enumerate(budget) if b]]
+    return slots, closing
+
+
 @lru_cache(maxsize=64)
-def _search_plan(n, positive, poincare_dual, has_fixed_point, forgetful, klass):
-    """The orbit slots in degree order, and the budgets closing at each slot.
+def _orbit_plan(n, positive, poincare_dual, has_fixed_point, forgetful, klass):
+    """The orbit slots in degree order, the budgets closing at each slot, and
+    the gcd of the units the slots charge each budget.
 
     ``positive[e]`` says whether entry e of the search's budget vector starts
-    above 0: degree e of the singular Betti numbers at e, and, when the
-    fixed locus is given (``positive`` is then twice as long), fixed degree f
-    at 2n + 1 + f.  Orbit representatives of degrees 0..last are slots,
-    last = n under duality and 2n otherwise, but only those whose every
-    charged budget starts positive: budgets only go down, so no other could
-    take a copy.  A slot is ``(charges, free_keys, antipodal_keys, after)``:
-    the (budget index, units) pairs one copy of the orbit uses, starting with
-    its own degree, the keys it sets, and the index of the first slot of the
-    next degree.  Keys the forgetful or class rules forbid are left out.
-    ``closing[i]`` lists the positive budgets that must be spent by slot i:
-    those last charged at slot i - 1 or in the degree before slot i (the jump
-    target of a spent degree), and, at i = 0, those no slot charges.
+    above 0: degree e of the singular Betti numbers at e, when the fixed
+    locus is given fixed degree f at 2n + 1 + f, and last, when the class
+    filter needs an antipodal summand, the class entry.  Orbit
+    representatives of degrees 0..last are slots, last = n under duality and
+    2n otherwise, but only those whose every charged budget starts positive:
+    budgets only go down, so no other could take a copy.  A slot is
+    ``(charges, free_keys, antipodal_keys, clears, after)``: the (budget
+    index, units) pairs one copy of the orbit uses, starting with its own
+    degree, the keys it sets, whether a copy of it clears the class entry
+    (its keys are of the kind the class needs), and the index of the first
+    slot of the next degree.  The class entry is not charged per copy and
+    bounds no multiplicity.  Keys the forgetful or class rules forbid are
+    left out.  ``closing[i]`` lists the positive budgets that must be spent
+    by slot i: those last charged (or, for the class entry, cleared) at slot
+    i - 1 or in the degree before slot i (the jump target of a spent
+    degree), and, at i = 0, those no slot charges or clears.
     """
     top = 2 * n
     last = n if poincare_dual else top
     min_shift = 1 if has_fixed_point else 0
     span_cap = top - 1 if has_fixed_point else top
-    fixed_given = len(positive) > top + 1
+    needed = _NEEDED_SPHERE.get(klass)
+    betti = len(positive) - (needed is not None)  # the class entry is last
+    fixed_given = betti > top + 1
 
     def orbit(key, mirror):
         """The keys a representative stands for; None when it stands for none."""
@@ -344,17 +392,25 @@ def _search_plan(n, positive, poincare_dual, has_fixed_point, forgetful, klass):
             if fixed_given:
                 units += [top + 1 + p - q for p, q in free_keys]
             if all(positive[e] for e in units):
-                kept.append((tuple(Counter(units).items()), free_keys, anti_keys))
+                clears = needed is not None and any(t >= needed for _, t in anti_keys)
+                kept.append((tuple(Counter(units).items()), free_keys, anti_keys, clears))
         after = len(slots) + len(kept)
         slots += [(*slot, after) for slot in kept]
 
-    final = {e: {i + 1, slot[3]} for i, slot in enumerate(slots) for e, _ in slot[0]}
+    final = {}
+    gcds = {}
+    for i, (charges, _, _, clears, after) in enumerate(slots):
+        for e, k in charges:
+            final[e] = {i + 1, after}
+            gcds[e] = gcd(gcds.get(e, 0), k)
+        if clears:
+            final[betti] = {i + 1, after}
     closing = [[] for _ in range(len(slots) + 1)]
     for e in range(len(positive)):
         if positive[e]:
             for i in final.get(e, {0}):
                 closing[i].append(e)
-    return slots, closing
+    return slots, closing, tuple(gcds.items())
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +21,7 @@ from bredon import (
     tau_localize,
     underlying_singular,
 )
+from bredon.serialize import canonical_dumps
 
 free_entries = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 4)).map(
@@ -333,3 +338,49 @@ def test_singular_betti_is_underlying_singular_dims(module_corpus):
     assert any(d < 0 for m in negative for d in singular_betti(m).support())
     for m in list(module_corpus) + negative:
         assert singular_betti(m) == underlying_singular(m).dims()
+
+
+VALIDATION_GOLDEN = Path(__file__).parent / "golden" / "validation_reports.json"
+
+
+def validation_digest(module) -> str:
+    """One digest of every duality report on a module: for n = 1..4, the
+    ``pd_symmetric`` report, then ``real_manifold_validate`` under each
+    (has_fixed_point, connected) pair, as canonical JSON."""
+    reports = []
+    for n in range(1, 5):
+        reports.append(pd_symmetric(module, n).to_json_dict())
+        for fixed_point in (False, True):
+            for connected in (False, True):
+                reports.append(
+                    real_manifold_validate(module, n, fixed_point, connected).to_json_dict()
+                )
+    text = "\n".join(canonical_dumps(report) for report in reports)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_validation_reports_match_golden(module_corpus):
+    """Failure order, keys, messages and the PD reports are pinned.
+
+    The digests were recorded before the one-pass rewrite of both checks.
+    ``tests/bruteforce.py`` calls the same two functions, so the sweeps
+    against it cannot catch a wrong rewrite; this corpus, with the
+    cw=False negative shifts, can.  The full reports are about 16 MB, so
+    each module keeps a digest of its 20 reports.
+    """
+    golden = json.loads(VALIDATION_GOLDEN.read_text())
+    modules = list(module_corpus) + negative_shift_modules()
+    assert len(golden) == len(modules) == 1230
+    for i, (module, want) in enumerate(zip(modules, golden)):
+        assert validation_digest(module) == want, (i, module.to_json_dict())
+
+
+if __name__ == "__main__":
+    # Record the digests again, only at a commit whose reports are trusted:
+    # PYTHONPATH=src python tests/test_localization.py
+    from conftest import random_cw_modules
+
+    corpus = random_cw_modules(1200, seed=20240) + negative_shift_modules()
+    VALIDATION_GOLDEN.write_text(
+        json.dumps([validation_digest(m) for m in corpus], indent=0) + "\n"
+    )

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -179,10 +180,8 @@ def test_exhaustive_fixed_box_against_brute_force():
     assert _sweep_against_brute_force(sets) == (5576, 470)
 
 
-def test_every_candidate_passes_without_class_filter(monkeypatch):
-    """The budgets make the search exact: without a class filter, every
-    module it materializes passes the re-check, so no budget is left
-    unchecked when the search jumps past a spent degree."""
+def _count_candidates(monkeypatch):
+    """The list that every module the search materializes appends to."""
     import bredon.solver
 
     made = []
@@ -193,17 +192,64 @@ def test_every_candidate_passes_without_class_filter(monkeypatch):
         return build(*rows)
 
     monkeypatch.setattr(bredon.solver, "make_module", counted)
+    return made
+
+
+def test_every_candidate_passes(monkeypatch):
+    """The budgets make the search exact: under every class filter, every
+    module it materializes passes the re-check, so no budget is left
+    unchecked when the search jumps past a spent degree, and the class entry
+    leaves no candidate of the wrong class."""
+    made = _count_candidates(monkeypatch)
     fixed_lists = list(itertools.product(range(3), repeat=2))
     sets = itertools.chain(
         _box_constraints(), _box_constraints(boxes=((1, 3),), fixed_lists=fixed_lists)
     )
+    candidates = Counter()
     checked = 0
     for cs in sets:
-        if cs.class_filter is None:
-            made.clear()
-            assert len(enumerate_decompositions(cs)) == len(made), cs.to_json_dict()
-            checked += 1
-    assert checked == 2062
+        made.clear()
+        assert len(enumerate_decompositions(cs)) == len(made), cs.to_json_dict()
+        candidates[cs.class_filter] += len(made)
+        checked += 1
+    assert checked == 8248
+    assert candidates[GM] == 747 and candidates[NEITHER] == 1869
+
+
+def test_neither_filter_builds_only_accepted_modules(monkeypatch):
+    """The n = 4 duality set with class filter NEITHER materializes exactly
+    the modules it returns."""
+    made = _count_candidates(monkeypatch)
+    cs = ConstraintSet(
+        dimension=4,
+        betti_total=GradedDims.from_list([1, 0, 3, 0, 14, 0, 3, 0, 1]),
+        has_fixed_point=True,
+        connected=True,
+        poincare_dual=True,
+        class_filter=NEITHER,
+    )
+    solutions = enumerate_decompositions(cs)
+    assert len(made) == len(solutions) == 2503
+
+
+def test_odd_middle_betti_number_ends_at_once():
+    """Under duality every orbit charges the middle degree of odd n two
+    units, so an odd middle Betti number leaves no slot to search."""
+    import time
+
+    n = 25
+    cs = ConstraintSet(
+        dimension=n,
+        betti_total=GradedDims.from_list([1, 0] + [1] * (2 * n - 3) + [0, 1]),
+        has_fixed_point=True,
+        connected=True,
+        poincare_dual=True,
+    )
+    start = time.perf_counter()
+    assert enumerate_decompositions(cs) == []
+    assert time.perf_counter() - start < 1.0
+    budget = tuple(cs.betti_total.to_list(2 * n))
+    assert _search_plan(n, budget, True, True, frozenset(), None)[0] == []
 
 
 def _random_module_in_box(rng, n):
@@ -369,10 +415,10 @@ def test_search_too_deep():
 def test_plan_follows_the_data():
     """Only keys whose every charged budget starts positive become slots."""
     n = 300
-    positive = (True,) + (False,) * (2 * n)
-    slots, closing = _search_plan(n, positive, False, False, frozenset(), None)
+    budget = (1,) + (0,) * (2 * n)
+    slots, closing = _search_plan(n, budget, False, False, frozenset(), None)
     # a point offers M2[0,0] and A0[0], not one slot per key of degrees 0..600
-    assert [(free, anti) for _, free, anti, _ in slots] == [(((0, 0),), ()), ((), ((0, 0),))]
+    assert [(free, anti) for _, free, anti, *_ in slots] == [(((0, 0),), ()), ((), ((0, 0),))]
     assert closing == [[], [], [0]]
     cs = ConstraintSet(dimension=n, betti_total=GradedDims.from_list([1]))
     assert [m.to_json_dict() for m in enumerate_decompositions(cs)] == [
@@ -381,11 +427,11 @@ def test_plan_follows_the_data():
     for cs in (k3_constraints(), cubic_constraints()):
         budget = cs.betti_total.to_list(2 * cs.dimension)
         budget += cs.betti_fixed.to_list(2 * cs.dimension)
-        positive = tuple(b > 0 for b in budget)
         forgetful = cs.forgetful_onto_degrees or frozenset()
-        slots, closing = _search_plan(cs.dimension, positive, True, True, forgetful, None)
-        assert all(positive[e] for charges, *_ in slots for e, _ in charges)
-        assert all(positive[e] for budgets in closing for e in budgets)
+        slots, closing = _search_plan(cs.dimension, tuple(budget), True, True, forgetful, None)
+        assert slots
+        assert all(budget[e] for charges, *_ in slots for e, _ in charges)
+        assert all(budget[e] for budgets in closing for e in budgets)
 
 
 def test_constraint_set_invariants():
