@@ -121,21 +121,10 @@ class M2Element:
     def __str__(self) -> str:
         if self.kind == _ZERO:
             return "0"
+        parts = "*".join(power(x, e) for x, e in (("rho", self.a), ("tau", self.b)) if e)
         if self.kind == _POS:
-            parts = []
-            if self.a:
-                parts.append("rho" if self.a == 1 else f"rho^{self.a}")
-            if self.b:
-                parts.append("tau" if self.b == 1 else f"tau^{self.b}")
-            return "*".join(parts) if parts else "1"
-        denom = []
-        if self.a:
-            denom.append("rho" if self.a == 1 else f"rho^{self.a}")
-        if self.b:
-            denom.append("tau" if self.b == 1 else f"tau^{self.b}")
-        if not denom:
-            return "theta"
-        return "theta/(" + "*".join(denom) + ")"
+            return parts or "1"
+        return f"theta/({parts})" if parts else "theta"
 
 
 ZERO = M2Element.zero()
@@ -208,6 +197,11 @@ def row_value(rows: tuple, key: tuple) -> int:
     """The value stored under ``key`` in canonical rows, or 0."""
     i = bisect_left(rows, key)
     return rows[i][-1] if i < len(rows) and rows[i][:-1] == key else 0
+
+
+def power(base: str, exponent: int) -> str:
+    """``base`` raised to ``exponent`` in text: ``base^exponent``, or ``base`` at 1."""
+    return base if exponent == 1 else f"{base}^{exponent}"
 
 
 def _clean_items(rows: Iterable[Sequence], width: int, what: str) -> tuple:
@@ -300,16 +294,10 @@ class UnivariatePolynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for e, c in self.terms:
-            coeff = "" if c == 1 and e != 0 else str(c)
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append(f"{coeff}t")
-            else:
-                parts.append(f"{coeff}t^{e}")
-        return " + ".join(parts)
+        return " + ".join(
+            str(c) if e == 0 else ("" if c == 1 else str(c)) + power("t", e)
+            for e, c in self.terms
+        )
 
 
 @dataclass(frozen=True)
@@ -375,11 +363,7 @@ class BivariatePolynomial:
             return "0"
 
         def mono(i: int, j: int, c: int) -> str:
-            body = ""
-            if i:
-                body += "u" if i == 1 else f"u^{i}"
-            if j:
-                body += "v" if j == 1 else f"v^{j}"
+            body = (power("u", i) if i else "") + (power("v", j) if j else "")
             if not body:
                 return str(c)
             return body if c == 1 else f"{c}{body}"
@@ -505,14 +489,9 @@ class NormalFormModule:
 
     def summands(self) -> list[str]:
         """Human-readable summand labels in canonical order."""
-        out = []
-        for p, q, m in self.free:
-            label = f"M2[{p},{q}]"
-            out.append(label if m == 1 else f"{label}^{m}")
-        for r, n, m in self.antipodal:
-            label = f"A{n}[{r}]"
-            out.append(label if m == 1 else f"{label}^{m}")
-        return out
+        return [power(f"M2[{p},{q}]", m) for p, q, m in self.free] + [
+            power(f"A{n}[{r}]", m) for r, n, m in self.antipodal
+        ]
 
     def __str__(self) -> str:
         return " + ".join(self.summands()) if not self.is_zero else "0"
@@ -521,26 +500,19 @@ class NormalFormModule:
 def make_module(
     free: Iterable[tuple[int, int, int]] = (),
     antipodal: Iterable[tuple[int, int, int]] = (),
-    cw: bool = True,
 ) -> NormalFormModule:
     """Build a module from (p, q, mult) and (r, n, mult) triples.
 
-    Duplicate keys are merged by addition.  With ``cw`` set (the default) the
-    bounds p >= q >= 0 and r, n >= 0 are enforced; pass ``cw=False`` only for
-    intermediate bookkeeping values that never reach a topological operation.
+    Duplicate keys are merged by addition, and the CW bounds p >= q >= 0 and
+    r, n >= 0 are checked; ``NormalFormModule(...)`` does not check them.
     """
     module = NormalFormModule(tuple(free), tuple(antipodal))
-    if cw:
-        for p, q, _ in module.free:
-            if not (p >= q >= 0):
-                raise ConstraintViolation(
-                    f"free summand at ({p}, {q}) violates p >= q >= 0"
-                )
-        for r, n, _ in module.antipodal:
-            if r < 0 or n < 0:
-                raise ConstraintViolation(
-                    f"antipodal summand at ({r}, {n}) violates r, n >= 0"
-                )
+    for p, q, _ in module.free:
+        if not (p >= q >= 0):
+            raise ConstraintViolation(f"free summand at ({p}, {q}) violates p >= q >= 0")
+    for r, n, _ in module.antipodal:
+        if r < 0 or n < 0:
+            raise ConstraintViolation(f"antipodal summand at ({r}, {n}) violates r, n >= 0")
     return module
 
 

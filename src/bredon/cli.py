@@ -15,7 +15,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import replace
 
-from .algebra import BivariatePolynomial, NormalFormModule, rank_polynomial
+from .algebra import BivariatePolynomial, NormalFormModule, power, rank_polynomial
 from .catalog import catalog_get, catalog_list
 from .classification import (
     classify,
@@ -60,6 +60,16 @@ def _add_format_arg(parser: argparse.ArgumentParser):
     parser.add_argument("--format", choices=("table", "json"), default="table")
 
 
+def _add_flags(parser: argparse.ArgumentParser, *names: str):
+    """A ``--x/--no-x`` flag for each name, None when not given."""
+    for name in names:
+        parser.add_argument(f"--{name}", action=argparse.BooleanOptionalAction, default=None)
+
+
+# solve/predict flag -> the constraint-file field it overrides
+_OVERRIDES = {"fixed-point": "has_fixed_point", "connected": "connected", "pd": "poincare_dual"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bredon",
@@ -94,16 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_format_arg(p)
     p.add_argument("--dim", type=int, metavar="N", default=None)
-    p.add_argument("--fixed-point", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--connected", action=argparse.BooleanOptionalAction, default=None)
+    _add_flags(p, "fixed-point", "connected")
 
     p = sub.add_parser("hodge", help="Hodge-expressivity checks")
     _add_input_args(p)
     _add_format_arg(p)
     p.add_argument("--hodge", metavar="FILE", help="Hodge polynomial as [[p,q,c],...]")
-    p.add_argument(
-        "--torsion-free", action=argparse.BooleanOptionalAction, default=None
-    )
+    _add_flags(p, "torsion-free")
 
     for verb, description in (
         ("solve", "enumerate decompositions for constraints"),
@@ -113,14 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--constraints", metavar="FILE", required=True)
         if verb == "predict":
             _add_format_arg(p)
-        # command-line overrides for the corresponding constraint-file fields
-        p.add_argument(
-            "--fixed-point", action=argparse.BooleanOptionalAction, default=None
-        )
-        p.add_argument(
-            "--connected", action=argparse.BooleanOptionalAction, default=None
-        )
-        p.add_argument("--pd", action=argparse.BooleanOptionalAction, default=None)
+        _add_flags(p, *_OVERRIDES)
 
     return parser
 
@@ -181,16 +181,15 @@ def render_rank_lattice(module: NormalFormModule) -> str:
     else:
         lines.append("(no free summands)")
     if module.antipodal:
-        lines.append("antipodal: " + ", ".join(
-            f"A{n}[{r}]" + (f"^{m}" if m > 1 else "")
-            for r, n, m in module.antipodal
-        ))
+        lines.append(
+            "antipodal: " + ", ".join(power(f"A{n}[{r}]", m) for r, n, m in module.antipodal)
+        )
     return "\n".join(lines)
 
 
 def _emit(args, json_payload, table: Callable[[], str]):
     """Print the payload as canonical JSON, or the text ``table()`` renders."""
-    if getattr(args, "format", "table") == "json":
+    if args.format == "json":
         print(canonical_dumps(json_payload))
     else:
         print(table())
@@ -228,13 +227,11 @@ def _run(args) -> int:
 
     if verb in ("solve", "predict"):
         constraints = ConstraintSet.from_json_dict(load_json_file(args.constraints))
-        overrides = {}
-        if args.fixed_point is not None:
-            overrides["has_fixed_point"] = args.fixed_point
-        if args.connected is not None:
-            overrides["connected"] = args.connected
-        if args.pd is not None:
-            overrides["poincare_dual"] = args.pd
+        overrides = {
+            field: value
+            for flag, field in _OVERRIDES.items()
+            if (value := getattr(args, flag.replace("-", "_"))) is not None
+        }
         if overrides:
             constraints = replace(constraints, **overrides)
         if verb == "solve":

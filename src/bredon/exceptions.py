@@ -91,14 +91,10 @@ class ParameterRange(BredonError):
 
 
 class ParseError(BredonError):
-    """Input text is not valid JSON; carries line/column when known."""
+    """Input is unreadable or not valid JSON; for invalid JSON the message
+    names the line and column."""
 
     code = "PARSE_ERROR"
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
 
 
 class SchemaError(BredonError):

@@ -30,6 +30,7 @@ from .algebra import (
     NormalFormModule,
     UnivariatePolynomial,
     merge_rows,
+    power,
     rank_polynomial,
     row_value,
 )
@@ -134,14 +135,9 @@ class BorelModule:
         }
 
     def summands(self) -> list[str]:
-        out = []
-        for p, c in self.free:
-            label = f"F2[z]({p})"
-            out.append(label if c == 1 else f"{label}^{c}")
-        for r, n, c in self.torsion:
-            label = f"F2[z]/z^{n + 1}({r})"
-            out.append(label if c == 1 else f"{label}^{c}")
-        return out
+        return [power(f"F2[z]({p})", c) for p, c in self.free] + [
+            power(f"F2[z]/z^{n + 1}({r})", c) for r, n, c in self.torsion
+        ]
 
     def __str__(self) -> str:
         return " + ".join(self.summands()) if (self.free or self.torsion) else "0"
@@ -371,8 +367,8 @@ def real_manifold_validate(
         )
 
     # One pass over the antipodal rows: the three bound lists, and their
-    # lines in degree 0 of underlying_singular (at r and at r + n; cw=False
-    # keys can put either there).
+    # lines in degree 0 of underlying_singular (at r and at r + n; keys
+    # outside the CW box can put either there).
     span, shift, strict = [], [], []
     b0 = 0
     for r, t, m in module.antipodal:

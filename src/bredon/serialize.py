@@ -32,9 +32,7 @@ def parse_json(text: str, source: str = "<input>"):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
-            f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            line=exc.lineno,
-            column=exc.colno,
+            f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
 
 

@@ -38,8 +38,9 @@ lead to a completion.  A budget must be spent once no later slot charges it
 (``closing``), which is how each degree's units are used up exactly; every
 slot uses units of its own degree, so once those are spent the search jumps
 to the next degree.  A starting budget that is not a multiple of the gcd of
-the units its slots charge it cannot be spent exactly, so such data gets no
-slots at all.
+the units its slots charge it cannot be spent exactly, so
+:func:`enumerate_decompositions` returns nothing for such data before it
+searches.
 
 Every module the search produces is re-checked through the public
 localization and classification operations before it is returned, so the
@@ -247,10 +248,15 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
     if cs.class_filter in _NEEDED_SPHERE:
         budget.append(1)  # the class entry: the summand the class needs is missing
 
-    slots, closing = _search_plan(
-        n, tuple(budget), cs.poincare_dual, cs.has_fixed_point,
+    slots, closing, units = _orbit_plan(
+        n, tuple(b > 0 for b in budget), cs.poincare_dual, cs.has_fixed_point,
         cs.forgetful_onto_degrees or frozenset(), cs.class_filter,
     )
+    # A budget that is not a multiple of the gcd of its units is never spent
+    # exactly.  Under duality this ends an odd middle Betti number of odd n
+    # at once, since every orbit charges that degree two units.
+    if any(budget[e] % k for e, k in units):
+        return []
 
     # state (slot index, budgets) -> edges (free segment, antipodal segment,
     # child state) that lead to a completion; a completing edge has child None
@@ -313,22 +319,6 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
     return results
 
 
-def _search_plan(n, budget, poincare_dual, has_fixed_point, forgetful, klass):
-    """The slots and closing lists of :func:`_orbit_plan` for these budgets.
-
-    No slots at all when a starting budget is not a multiple of the gcd of
-    the units its slots charge it: no choice of multiplicities spends it
-    exactly.  Under duality this ends an odd middle Betti number of odd n at
-    once, since every orbit charges that degree two units.
-    """
-    slots, closing, units = _orbit_plan(
-        n, tuple(b > 0 for b in budget), poincare_dual, has_fixed_point, forgetful, klass
-    )
-    if any(budget[e] % k for e, k in units):
-        return [], [[e for e, b in enumerate(budget) if b]]
-    return slots, closing
-
-
 @lru_cache(maxsize=64)
 def _orbit_plan(n, positive, poincare_dual, has_fixed_point, forgetful, klass):
     """The orbit slots in degree order, the budgets closing at each slot, and
@@ -376,7 +366,7 @@ def _orbit_plan(n, positive, poincare_dual, has_fixed_point, forgetful, klass):
             if keys:
                 members.append((keys, ()))
         if d >= min_shift and klass is not MaximalityClass.MAXIMAL:
-            for t in range(span_cap - d + 1):
+            for t in (e - d for e in range(d, span_cap + 1) if positive[e]):
                 keys = orbit((d, t), (top - d - t, t))
                 if not keys or t and klass is MaximalityClass.GALOIS_MAXIMAL_ONLY:
                     continue
@@ -434,25 +424,24 @@ class MaximalityPrediction:
         return {"applicable": self.applicable, "prediction": self.prediction}
 
 
-def krasnov_predict(cs: ConstraintSet) -> MaximalityPrediction:
-    """Surface criterion: a real point and no first cohomology force GM."""
+def _criterion(cs: ConstraintSet, dimension: int, onto: tuple[int, ...] = ()) -> MaximalityPrediction:
+    """A real point, duality and no first cohomology in this dimension, and
+    surjectivity in every degree of ``onto``, force GM."""
     applicable = (
-        cs.dimension == 2
+        cs.dimension == dimension
         and cs.has_fixed_point
         and cs.poincare_dual
         and cs.betti_total.get(1) == 0
+        and all(d in (cs.forgetful_onto_degrees or ()) for d in onto)
     )
     return MaximalityPrediction(applicable)
+
+
+def krasnov_predict(cs: ConstraintSet) -> MaximalityPrediction:
+    """Surface criterion: a real point and no first cohomology force GM."""
+    return _criterion(cs, 2)
 
 
 def threefold_predict(cs: ConstraintSet) -> MaximalityPrediction:
     """Threefold criterion: additionally needs surjectivity in degree 4."""
-    applicable = (
-        cs.dimension == 3
-        and cs.has_fixed_point
-        and cs.poincare_dual
-        and cs.betti_total.get(1) == 0
-        and cs.forgetful_onto_degrees is not None
-        and 4 in cs.forgetful_onto_degrees
-    )
-    return MaximalityPrediction(applicable)
+    return _criterion(cs, 3, (4,))

@@ -10,6 +10,7 @@ from bredon import (
     THETA,
     ZERO,
     BivariatePolynomial,
+    BorelModule,
     ConstraintViolation,
     InvalidShift,
     M2Element,
@@ -25,6 +26,7 @@ from bredon import (
     rank_polynomial,
     suspend,
 )
+from bredon.cli import render_rank_lattice
 from bredon.serialize import canonical_dumps, parse_json
 
 # ---------------------------------------------------------------------------
@@ -79,6 +81,17 @@ def test_str_rendering():
     assert str(THETA) == "theta"
     assert str(M2Element.neg(1, 2)) == "theta/(rho*tau^2)"
     assert str(ZERO) == "0"
+    assert str(RHO) == "rho"
+    assert str(M2Element.pos(0, 3)) == "tau^3"
+    assert str(M2Element.neg(0, 1)) == "theta/(tau)"
+    assert str(M2Element.neg(2, 0)) == "theta/(rho^2)"
+    module = make_module([(0, 0, 2), (2, 1, 1)], [(2, 1, 3)])
+    assert module.summands() == ["M2[0,0]^2", "M2[2,1]", "A1[2]^3"]
+    assert str(module) == "M2[0,0]^2 + M2[2,1] + A1[2]^3"
+    assert str(BorelModule(((0, 2),), ((1, 2, 1),))) == "F2[z](0)^2 + F2[z]/z^3(1)"
+    assert render_rank_lattice(make_module([], [(0, 0, 1), (1, 2, 3)])) == (
+        "(no free summands)\nantipodal: A0[0], A2[1]^3"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +118,8 @@ def test_make_module_errors():
         make_module([], [(1, 0, -2)])
     with pytest.raises(ConstraintViolation):
         make_module([], [(-1, 0, 1)])
-    # non-cw construction is allowed when asked for
-    m = make_module([(1, 2, 1)], cw=False)
+    # the bare constructor builds keys outside the CW box
+    m = NormalFormModule([(1, 2, 1)])
     assert m.free_rank(1, 2) == 1
 
 
@@ -195,7 +208,7 @@ def test_substitute_powers():
     fixed = poly.substitute_powers(1, -1)
     assert fixed == UnivariatePolynomial(((0, 1), (1, 1), (2, 1)))
     assert poly.substitute_powers(1, 0).total() == 3
-    bad = make_module([(1, 2, 1)], cw=False)
+    bad = NormalFormModule([(1, 2, 1)])
     with pytest.raises(NegativeExponent):
         rank_polynomial(bad).substitute_powers(1, -1)
 
@@ -204,6 +217,12 @@ def test_polynomial_str():
     poly = BivariatePolynomial(((0, 0, 1), (2, 1, 20), (4, 2, 1)))
     assert str(poly) == "1 + 20u^2v + u^4v^2"
     assert str(UnivariatePolynomial(((0, 2), (2, 2)))) == "2 + 2t^2"
+    assert str(UnivariatePolynomial(((1, 1),))) == "t"
+    assert str(UnivariatePolynomial(((0, 1), (1, 1), (2, 3)))) == "1 + t + 3t^2"
+    assert str(BivariatePolynomial(((1, 0, 1),))) == "u"
+    assert str(BivariatePolynomial(((0, 2, 1),))) == "v^2"
+    assert str(BivariatePolynomial(((1, 3, 2),))) == "2uv^3"
+    assert str(BivariatePolynomial(((0, 0, 5),))) == "5"
 
 
 def test_univariate_evaluations():

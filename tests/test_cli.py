@@ -223,6 +223,33 @@ def test_solve_constraint_overrides(tmp_path, capsys):
     assert json.loads(out)["threefold"]["applicable"] is False
 
 
+@pytest.mark.parametrize("flag, field", [
+    ("fixed-point", "has_fixed_point"),
+    ("connected", "connected"),
+    ("pd", "poincare_dual"),
+])
+def test_every_override_flag_equals_editing_the_file(tmp_path, capsys, flag, field):
+    # b0 = 2, so connectedness is an input error; the three edits that
+    # differ from the base give three different answers
+    base = {"n": 2, "betti_total": [2, 0, 2, 0, 2], "has_fixed_point": True,
+            "connected": False, "poincare_dual": True}
+
+    def outputs(data, *flags):
+        path = tmp_path / "constraints.json"
+        path.write_text(json.dumps(data))
+        return [
+            run(capsys, verb, "--constraints", str(path), *flags, *fmt)
+            for verb, fmt in (("solve", ()), ("predict", ("--format", "json")))
+        ]
+
+    flipped = {key: outputs(dict(base, **{key: not base[key]}))[0]
+               for key in ("has_fixed_point", "connected", "poincare_dual")}
+    assert len({out for _, out, _ in [outputs(base)[0], *flipped.values()]}) == 4
+    for value in (True, False):
+        given = f"--{flag}" if value else f"--no-{flag}"
+        assert outputs(base, given) == outputs(dict(base, **{field: value}))
+
+
 def test_search_too_deep_exits_2(tmp_path, capsys):
     n = 50
     path = tmp_path / "deep.json"

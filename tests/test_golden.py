@@ -13,10 +13,12 @@ from bredon import NormalFormModule, catalog_get, catalog_list
 from bredon.cli import main
 from bredon.serialize import canonical_dumps
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "golden" / "catalog_modules.json").read_text()
-)
 ENTRIES = Path(__file__).parent / "golden" / "catalog_entries.json"
+# label -> the canonical module string inside its pinned entry
+GOLDEN = {
+    label: canonical_dumps(json.loads(entry)["module"])
+    for label, entry in json.loads(ENTRIES.read_text())["entries"].items()
+}
 
 
 def _entry(label):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from bredon import (
     BorelModule,
     GradedDims,
+    NormalFormModule,
     catalog_get,
     fixed_poincare_polynomial,
     forgetful_image_dims,
@@ -64,7 +65,7 @@ def test_fixed_poincare_examples():
 def test_fixed_poincare_rejects_overweight_modules():
     from bredon import NegativeExponent
 
-    lopsided = make_module([(1, 2, 1)], cw=False)
+    lopsided = NormalFormModule([(1, 2, 1)])
     with pytest.raises(NegativeExponent):
         fixed_poincare_polynomial(lopsided)
 
@@ -292,14 +293,14 @@ def connected_b0_fails(module):
 
 
 def negative_shift_modules():
-    """30 cw=False modules with negative shifts.
+    """30 modules outside the CW box, with negative shifts.
 
     Antipodal (-2, 2) puts a line in degree 0 through r + n, and (2, -2)
     through r + n as well.
     """
     frees = ([], [(0, 0, 1)], [(0, 1, 1)], [(-1, -2, 1)], [(0, 0, 1), (0, 3, 1)])
     antis = ([], [(-2, 2, 1)], [(2, -2, 1)], [(0, 0, 1)], [(-1, 1, 2)], [(0, -3, 1)])
-    return [make_module(f, a, cw=False) for f in frees for a in antis]
+    return [NormalFormModule(f, a) for f in frees for a in antis]
 
 
 def test_connected_b0_reads_underlying_singular_degree_zero(module_corpus):
@@ -364,8 +365,8 @@ def test_validation_reports_match_golden(module_corpus):
 
     The digests were recorded before the one-pass rewrite of both checks.
     ``tests/bruteforce.py`` calls the same two functions, so the sweeps
-    against it cannot catch a wrong rewrite; this corpus, with the
-    cw=False negative shifts, can.  The full reports are about 16 MB, so
+    against it cannot catch a wrong rewrite; this corpus, with the negative
+    shifts outside the CW box, can.  The full reports are about 16 MB, so
     each module keeps a digest of its 20 reports.
     """
     golden = json.loads(VALIDATION_GOLDEN.read_text())

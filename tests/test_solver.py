@@ -22,7 +22,7 @@ from bredon import (
     underlying_singular,
 )
 from bredon.serialize import canonical_dumps
-from bredon.solver import _search_plan
+from bredon.solver import _orbit_plan
 
 from bruteforce import brute_force_decompositions
 
@@ -234,7 +234,7 @@ def test_neither_filter_builds_only_accepted_modules(monkeypatch):
 
 def test_odd_middle_betti_number_ends_at_once():
     """Under duality every orbit charges the middle degree of odd n two
-    units, so an odd middle Betti number leaves no slot to search."""
+    units, so an odd middle Betti number ends the search before it starts."""
     import time
 
     n = 25
@@ -248,8 +248,9 @@ def test_odd_middle_betti_number_ends_at_once():
     start = time.perf_counter()
     assert enumerate_decompositions(cs) == []
     assert time.perf_counter() - start < 1.0
-    budget = tuple(cs.betti_total.to_list(2 * n))
-    assert _search_plan(n, budget, True, True, frozenset(), None)[0] == []
+    budget = cs.betti_total.to_list(2 * n)
+    units = _orbit_plan(n, tuple(b > 0 for b in budget), True, True, frozenset(), None)[2]
+    assert (n, 2) in units and budget[n] % 2
 
 
 def _random_module_in_box(rng, n):
@@ -415,8 +416,8 @@ def test_search_too_deep():
 def test_plan_follows_the_data():
     """Only keys whose every charged budget starts positive become slots."""
     n = 300
-    budget = (1,) + (0,) * (2 * n)
-    slots, closing = _search_plan(n, budget, False, False, frozenset(), None)
+    positive = (True,) + (False,) * (2 * n)
+    slots, closing, _ = _orbit_plan(n, positive, False, False, frozenset(), None)
     # a point offers M2[0,0] and A0[0], not one slot per key of degrees 0..600
     assert [(free, anti) for _, free, anti, *_ in slots] == [(((0, 0),), ()), ((), ((0, 0),))]
     assert closing == [[], [], [0]]
@@ -428,10 +429,25 @@ def test_plan_follows_the_data():
         budget = cs.betti_total.to_list(2 * cs.dimension)
         budget += cs.betti_fixed.to_list(2 * cs.dimension)
         forgetful = cs.forgetful_onto_degrees or frozenset()
-        slots, closing = _search_plan(cs.dimension, tuple(budget), True, True, forgetful, None)
+        positive = tuple(b > 0 for b in budget)
+        slots, closing, _ = _orbit_plan(cs.dimension, positive, True, True, forgetful, None)
         assert slots
         assert all(budget[e] for charges, *_ in slots for e, _ in charges)
         assert all(budget[e] for budgets in closing for e in budgets)
+
+
+def test_plan_cost_does_not_grow_with_n():
+    """A point in dimension 200,000: the plan tries only antipodal spans
+    whose end degree starts positive, so its cost follows the data."""
+    import time
+
+    n = 200_000
+    cs = ConstraintSet(dimension=n, betti_total=GradedDims.from_list([1]))
+    start = time.perf_counter()
+    assert [str(m) for m in enumerate_decompositions(cs)] == ["M2[0,0]"]
+    assert time.perf_counter() - start < 0.5
+    positive = (True,) + (False,) * (2 * n)
+    assert len(_orbit_plan(n, positive, False, False, frozenset(), None)[0]) == 2
 
 
 def test_constraint_set_invariants():
