@@ -67,7 +67,7 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str):
 
 
 # solve/predict flag -> the constraint-file field it overrides
-_OVERRIDES = {"fixed-point": "has_fixed_point", "connected": "connected", "pd": "poincare_dual"}
+_OVERRIDES = {"fixed-point": "has_fixed_point", "pd": "poincare_dual"}
 
 
 def build_parser() -> argparse.ArgumentParser:

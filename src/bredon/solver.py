@@ -13,34 +13,35 @@ mirror-symmetric, so the search picks a multiplicity for one representative
 per mirror orbit, the least key of ``{key, mirror}``, and charges every unit
 of the whole orbit at once; without duality every orbit is a single key.
 Every orbit's units lie at or above its representative's degree, so the
-search walks degrees 0..n under duality and 0..2n otherwise.  At each degree
-the units still left there must be used up exactly, and the units charged
-to higher degrees and to the fixed locus must stay within their budgets.
-Keys the forgetful or class rules forbid are never offered.
+search walks degrees up to n under duality and up to 2n otherwise.  At each
+degree the units still left there must be used up exactly, and the units
+charged to higher degrees and to the fixed locus must stay within their
+budgets.  Keys the forgetful or class rules forbid are never offered.
 
-**Slot-level memo.**  Every exact-sum budget is one entry of a single
-list: the singular Betti numbers of degrees 0..2n, then, when given, the
-fixed-locus ones (fixed degree f at index 2n + 1 + f), and last, under the
-class filters GALOIS_MAXIMAL_ONLY and NEITHER, the class entry.  It starts
-at 1, meaning the antipodal summand the class needs is still missing (any
-for GALOIS_MAXIMAL_ONLY, which is offered only 0-spheres; one of positive
+**Slot-level memo.**  Every exact-sum constraint is a named budget, and the
+search holds only the budgets that start positive: the singular Betti
+number of each degree the data names, the fixed-locus one of each fixed
+degree it names when the fixed locus is given, and, under the class filters
+GALOIS_MAXIMAL_ONLY and NEITHER, the class entry.  It starts at 1, meaning
+the antipodal summand the class needs is still missing (any for
+GALOIS_MAXIMAL_ONLY, which is offered only 0-spheres; one of positive
 sphere dimension for NEITHER), and a copy of a summand of that kind clears
 it to 0; it is not charged per copy and bounds no multiplicity.  MAXIMAL
 needs no entry, since it is offered no antipodal key.  The plan is built
-from the data.  Budgets only go down, so an orbit representative becomes a
-slot only when every budget it charges starts positive; degrees of Betti
-number 0 have no slots, and the plan grows with the data rather than with
-n.  The slots form one degree-ordered list.  What can still happen from
-slot i on depends only on the state ``(i, budgets)``; each state is
-expanded once, passing over slots whose budgets ran out earlier in the
-search and trying every multiplicity they allow, and keeps the edges that
-lead to a completion.  A budget must be spent once no later slot charges it
-(``closing``), which is how each degree's units are used up exactly; every
-slot uses units of its own degree, so once those are spent the search jumps
-to the next degree.  A starting budget that is not a multiple of the gcd of
-the units its slots charge it cannot be spent exactly, so
-:func:`enumerate_decompositions` returns nothing for such data before it
-searches.
+from the data and alone names and orders the budgets.  Budgets only go
+down, so an orbit representative becomes a slot only when every budget it
+charges is named; the plan, the budget list and every memo key therefore
+grow with the data rather than with n.  The slots form one degree-ordered
+list.  What can still happen from slot i on depends only on the state
+``(i, budgets)``; each state is expanded once, passing over slots whose
+budgets ran out earlier in the search and trying every multiplicity they
+allow, and keeps the edges that lead to a completion.  A budget must be
+spent once no later slot charges it (``closing``), which is how each
+degree's units are used up exactly; every slot uses units of its own
+degree, so once those are spent the search jumps to the next degree.  A
+starting budget that is not a multiple of the gcd of the units its slots
+charge it cannot be spent exactly, so :func:`enumerate_decompositions`
+returns nothing for such data before it searches.
 
 Every module the search produces is re-checked through the public
 localization and classification operations before it is returned, so the
@@ -242,16 +243,15 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
     the interpreter's recursion limit, which high dimensions (n = 50) reach.
     """
     n = cs.dimension
-    budget = cs.betti_total.to_list(2 * n)
-    if cs.betti_fixed is not None:
-        budget += cs.betti_fixed.to_list(2 * n)
-    if cs.class_filter in _NEEDED_SPHERE:
-        budget.append(1)  # the class entry: the summand the class needs is missing
-
-    slots, closing, units = _orbit_plan(
-        n, tuple(b > 0 for b in budget), cs.poincare_dual, cs.has_fixed_point,
-        cs.forgetful_onto_degrees or frozenset(), cs.class_filter,
+    betti = dict(cs.betti_total.items())
+    fixed = None if cs.betti_fixed is None else dict(cs.betti_fixed.items())
+    names, slots, closing, units = _orbit_plan(
+        n, tuple(betti), None if fixed is None else tuple(fixed), cs.poincare_dual,
+        cs.has_fixed_point, cs.forgetful_onto_degrees or frozenset(), cs.class_filter,
     )
+    given = {"betti": betti, "fixed": fixed}
+    # the class entry starts at 1: the summand the class needs is missing
+    budget = [given[kind][d] if kind in given else 1 for kind, d in names]
     # A budget that is not a multiple of the gcd of its units is never spent
     # exactly.  Under duality this ends an odd middle Betti number of odd n
     # at once, since every orbit charges that degree two units.
@@ -273,7 +273,7 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
             if cap:
                 break
             i = i + 1 if budget[charges[0][0]] else after
-        missing = budget[-1]  # the class entry, when the slot clears it
+        missing = budget[-1]  # the class entry, which the plan names last
         edges = []
         for c in range(cap + 1):
             if c:
@@ -320,26 +320,28 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
 
 
 @lru_cache(maxsize=64)
-def _orbit_plan(n, positive, poincare_dual, has_fixed_point, forgetful, klass):
-    """The orbit slots in degree order, the budgets closing at each slot, and
-    the gcd of the units the slots charge each budget.
+def _orbit_plan(n, betti, fixed, poincare_dual, has_fixed_point, forgetful, klass):
+    """The budget names, the orbit slots in degree order, the budgets closing
+    at each slot, and the gcd of the units the slots charge each budget.
 
-    ``positive[e]`` says whether entry e of the search's budget vector starts
-    above 0: degree e of the singular Betti numbers at e, when the fixed
-    locus is given fixed degree f at 2n + 1 + f, and last, when the class
-    filter needs an antipodal summand, the class entry.  Orbit
-    representatives of degrees 0..last are slots, last = n under duality and
-    2n otherwise, but only those whose every charged budget starts positive:
-    budgets only go down, so no other could take a copy.  A slot is
-    ``(charges, free_keys, antipodal_keys, clears, after)``: the (budget
-    index, units) pairs one copy of the orbit uses, starting with its own
-    degree, the keys it sets, whether a copy of it clears the class entry
-    (its keys are of the kind the class needs), and the index of the first
-    slot of the next degree.  The class entry is not charged per copy and
-    bounds no multiplicity.  Keys the forgetful or class rules forbid are
-    left out.  ``closing[i]`` lists the positive budgets that must be spent
-    by slot i: those last charged (or, for the class entry, cleared) at slot
-    i - 1 or in the degree before slot i (the jump target of a spent
+    ``betti`` and ``fixed`` are the degrees where the singular and the
+    fixed-locus Betti numbers are positive, ``fixed`` None when the fixed
+    locus is not given.  The budgets are named ``("betti", d)``,
+    ``("fixed", f)`` and, when the class filter needs an antipodal summand,
+    ``("class", None)``, last; slots refer to a budget by its place in the
+    names.  Orbit representatives of the Betti degrees up to n under duality
+    (2n otherwise) are slots, but only those whose every charged budget is
+    named: budgets only go down, so no other could take a copy.  With the
+    fixed locus given, the free weights of degree d are d - f for its
+    degrees f.  A slot is ``(charges, free_keys, antipodal_keys, clears,
+    after)``: the (budget, units) pairs one copy of the orbit uses, starting
+    with its own degree, the keys it sets, whether a copy of it clears the
+    class entry (its keys are of the kind the class needs), and the index of
+    the first slot of the next degree.  The class entry is not charged per
+    copy and bounds no multiplicity.  Keys the forgetful or class rules
+    forbid are left out.  ``closing[i]`` lists the budgets that must be
+    spent by slot i: those last charged (or, for the class entry, cleared)
+    at slot i - 1 or in the degree before slot i (the jump target of a spent
     degree), and, at i = 0, those no slot charges or clears.
     """
     top = 2 * n
@@ -347,8 +349,9 @@ def _orbit_plan(n, positive, poincare_dual, has_fixed_point, forgetful, klass):
     min_shift = 1 if has_fixed_point else 0
     span_cap = top - 1 if has_fixed_point else top
     needed = _NEEDED_SPHERE.get(klass)
-    betti = len(positive) - (needed is not None)  # the class entry is last
-    fixed_given = betti > top + 1
+    names = [("betti", d) for d in betti] + [("fixed", f) for f in fixed or ()]
+    names += [("class", None)] if needed is not None else []
+    index = {name: e for e, name in enumerate(names)}
 
     def orbit(key, mirror):
         """The keys a representative stands for; None when it stands for none."""
@@ -357,16 +360,19 @@ def _orbit_plan(n, positive, poincare_dual, has_fixed_point, forgetful, klass):
         return (key, mirror) if key < mirror else None
 
     slots = []
-    for d in range(last + 1):
-        if not positive[d]:  # every slot of degree d charges budget d
-            continue
+    for d in betti:  # every slot of degree d charges budget ("betti", d)
+        if d > last:
+            break
+        weights = range(min(d, n) + 1)
+        if fixed is not None:
+            weights = [d - f for f in reversed(fixed) if d - f in weights]
         members = []
-        for q in range(min(d, n) + 1):
+        for q in weights:
             keys = orbit((d, q), (top - d, n - q))
             if keys:
                 members.append((keys, ()))
         if d >= min_shift and klass is not MaximalityClass.MAXIMAL:
-            for t in (e - d for e in range(d, span_cap + 1) if positive[e]):
+            for t in (e - d for e in betti if d <= e <= span_cap):
                 keys = orbit((d, t), (top - d - t, t))
                 if not keys or t and klass is MaximalityClass.GALOIS_MAXIMAL_ONLY:
                     continue
@@ -374,16 +380,17 @@ def _orbit_plan(n, positive, poincare_dual, has_fixed_point, forgetful, klass):
                     members.append(((), keys))
         kept = []
         for free_keys, anti_keys in members:
-            # the budget index of every unit one copy of the orbit uses, its
-            # own degree first
-            units = [p for p, _ in free_keys]
+            # the name of every unit one copy of the orbit uses, its own
+            # degree first
+            units = [("betti", p) for p, _ in free_keys]
             for r, t in anti_keys:
-                units += [r, r + t]
-            if fixed_given:
-                units += [top + 1 + p - q for p, q in free_keys]
-            if all(positive[e] for e in units):
+                units += [("betti", r), ("betti", r + t)]
+            if fixed is not None:
+                units += [("fixed", p - q) for p, q in free_keys]
+            if all(u in index for u in units):
                 clears = needed is not None and any(t >= needed for _, t in anti_keys)
-                kept.append((tuple(Counter(units).items()), free_keys, anti_keys, clears))
+                charges = tuple((index[u], k) for u, k in Counter(units).items())
+                kept.append((charges, free_keys, anti_keys, clears))
         after = len(slots) + len(kept)
         slots += [(*slot, after) for slot in kept]
 
@@ -394,13 +401,12 @@ def _orbit_plan(n, positive, poincare_dual, has_fixed_point, forgetful, klass):
             final[e] = {i + 1, after}
             gcds[e] = gcd(gcds.get(e, 0), k)
         if clears:
-            final[betti] = {i + 1, after}
+            final[index["class", None]] = {i + 1, after}
     closing = [[] for _ in range(len(slots) + 1)]
-    for e in range(len(positive)):
-        if positive[e]:
-            for i in final.get(e, {0}):
-                closing[i].append(e)
-    return slots, closing, tuple(gcds.items())
+    for e in range(len(names)):
+        for i in final.get(e, {0}):
+            closing[i].append(e)
+    return tuple(names), slots, closing, tuple(gcds.items())
 
 
 @dataclass(frozen=True)

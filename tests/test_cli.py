@@ -225,7 +225,6 @@ def test_solve_constraint_overrides(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, field", [
     ("fixed-point", "has_fixed_point"),
-    ("connected", "connected"),
     ("pd", "poincare_dual"),
 ])
 def test_every_override_flag_equals_editing_the_file(tmp_path, capsys, flag, field):
@@ -248,6 +247,31 @@ def test_every_override_flag_equals_editing_the_file(tmp_path, capsys, flag, fie
     for value in (True, False):
         given = f"--{flag}" if value else f"--no-{flag}"
         assert outputs(base, given) == outputs(dict(base, **{field: value}))
+
+
+@pytest.mark.parametrize("betti", [[1, 0, 2, 0, 1], [1, 1, 2, 1, 1], [1, 0, 3, 0, 1]])
+def test_connected_field_changes_no_solve_or_predict_output(tmp_path, capsys, betti):
+    # with b0 = 1 the field only restates the data, so it has no flag
+    for fixed_point in (False, True):
+        for pd in (False, True):
+            seen = []
+            for connected in (False, True):
+                path = tmp_path / "constraints.json"
+                path.write_text(json.dumps({
+                    "n": 2, "betti_total": betti, "has_fixed_point": fixed_point,
+                    "connected": connected, "poincare_dual": pd,
+                }))
+                seen.append([
+                    run(capsys, verb, "--constraints", str(path), *fmt)
+                    for verb, fmt in (("solve", ()), ("predict", ("--format", "json")))
+                ])
+            assert seen[0] == seen[1]
+            assert all(code == 0 for code, _, _ in seen[0])
+    for verb in ("solve", "predict"):
+        with pytest.raises(SystemExit) as info:
+            main([verb, "--constraints", str(path), "--connected"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --connected" in capsys.readouterr().err
 
 
 def test_search_too_deep_exits_2(tmp_path, capsys):

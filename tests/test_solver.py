@@ -248,9 +248,10 @@ def test_odd_middle_betti_number_ends_at_once():
     start = time.perf_counter()
     assert enumerate_decompositions(cs) == []
     assert time.perf_counter() - start < 1.0
-    budget = cs.betti_total.to_list(2 * n)
-    units = _orbit_plan(n, tuple(b > 0 for b in budget), True, True, frozenset(), None)[2]
-    assert (n, 2) in units and budget[n] % 2
+    names, _, _, units = _orbit_plan(
+        n, cs.betti_total.support(), None, True, True, frozenset(), None
+    )
+    assert (names.index(("betti", n)), 2) in units and cs.betti_total.get(n) % 2
 
 
 def _random_module_in_box(rng, n):
@@ -414,11 +415,12 @@ def test_search_too_deep():
 
 
 def test_plan_follows_the_data():
-    """Only keys whose every charged budget starts positive become slots."""
+    """The plan names only the budgets that start positive, and only keys
+    whose every charged budget is named become slots."""
     n = 300
-    positive = (True,) + (False,) * (2 * n)
-    slots, closing, _ = _orbit_plan(n, positive, False, False, frozenset(), None)
+    names, slots, closing, _ = _orbit_plan(n, (0,), None, False, False, frozenset(), None)
     # a point offers M2[0,0] and A0[0], not one slot per key of degrees 0..600
+    assert names == (("betti", 0),)
     assert [(free, anti) for _, free, anti, *_ in slots] == [(((0, 0),), ()), ((), ((0, 0),))]
     assert closing == [[], [], [0]]
     cs = ConstraintSet(dimension=n, betti_total=GradedDims.from_list([1]))
@@ -426,14 +428,12 @@ def test_plan_follows_the_data():
         {"free": [[0, 0, 1]], "antipodal": []}
     ]
     for cs in (k3_constraints(), cubic_constraints()):
-        budget = cs.betti_total.to_list(2 * cs.dimension)
-        budget += cs.betti_fixed.to_list(2 * cs.dimension)
+        betti, fixed = cs.betti_total.support(), cs.betti_fixed.support()
         forgetful = cs.forgetful_onto_degrees or frozenset()
-        positive = tuple(b > 0 for b in budget)
-        slots, closing, _ = _orbit_plan(cs.dimension, positive, True, True, forgetful, None)
+        names, slots, _, _ = _orbit_plan(cs.dimension, betti, fixed, True, True, forgetful, None)
+        # one budget per degree the data names, and no other
+        assert names == tuple([("betti", d) for d in betti] + [("fixed", f) for f in fixed])
         assert slots
-        assert all(budget[e] for charges, *_ in slots for e, _ in charges)
-        assert all(budget[e] for budgets in closing for e in budgets)
 
 
 def test_plan_cost_does_not_grow_with_n():
@@ -446,8 +446,33 @@ def test_plan_cost_does_not_grow_with_n():
     start = time.perf_counter()
     assert [str(m) for m in enumerate_decompositions(cs)] == ["M2[0,0]"]
     assert time.perf_counter() - start < 0.5
-    positive = (True,) + (False,) * (2 * n)
-    assert len(_orbit_plan(n, positive, False, False, frozenset(), None)[0]) == 2
+    assert len(_orbit_plan(n, (0,), None, False, False, frozenset(), None)[1]) == 2
+
+
+@pytest.mark.parametrize("n, total, fixed, expected, bound", [
+    # a point: one budget, whatever n is
+    (10**6, {0: 1}, None, ["M2[0,0]"], 0.05),
+    # two cells with full fixed data and no duality: four budgets
+    (200_000, {0: 1, 400_000: 1}, {0: 1, 200_000: 1}, ["M2[0,0] + M2[400000,200000]"], 0.05),
+    # Betti-only two cells: n + 1 free weights in the top degree
+    (600, {0: 1, 1200: 1}, None,
+     ["A1200[0]"] + [f"M2[0,0] + M2[1200,{q}]" for q in range(601)], None),
+], ids=["point", "two_cells_fixed", "two_cells_betti_only"])
+def test_search_cost_follows_the_data(n, total, fixed, expected, bound):
+    """The search holds one budget per degree the data names, so data of
+    fixed size is searched in time independent of n."""
+    import time
+
+    cs = ConstraintSet(
+        dimension=n,
+        betti_total=GradedDims(tuple(total.items())),
+        betti_fixed=None if fixed is None else GradedDims(tuple(fixed.items())),
+        has_fixed_point=fixed is not None,
+    )
+    start = time.perf_counter()
+    assert [str(m) for m in enumerate_decompositions(cs)] == expected
+    if bound is not None:
+        assert time.perf_counter() - start < bound
 
 
 def test_constraint_set_invariants():
