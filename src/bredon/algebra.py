@@ -384,8 +384,9 @@ class NormalFormModule:
     """Two multiplicity maps: free summands at (p, q), antipodal at (r, n).
 
     Entries are stored canonically: sorted lexicographically, strictly
-    positive multiplicities, duplicates merged.  Equality of modules is
-    equality of the maps.
+    positive multiplicities, duplicates merged.  Every entry is an ``int``
+    (a bool or a float is a :class:`ConstraintViolation`), so the module
+    prints exactly as its JSON.  Equality of modules is equality of the maps.
     """
 
     free: tuple[tuple[int, int, int], ...] = ()
@@ -395,6 +396,10 @@ class NormalFormModule:
         for part in ("free", "antipodal"):
             rows = tuple(getattr(self, part))
             for a, b, mult in rows:
+                if not (int is type(a) is type(b) is type(mult)):
+                    raise ConstraintViolation(
+                        f"{part} summand ({a!r}, {b!r}, {mult!r}) has a non-integer entry"
+                    )
                 if mult <= 0:
                     raise NegativeMultiplicity(
                         f"{part} summand at ({a}, {b}) has multiplicity {mult}"
@@ -471,10 +476,22 @@ class NormalFormModule:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The module as a JSON object, for payloads that embed one."""
         return {
             "free": [[p, q, m] for p, q, m in self.free],
             "antipodal": [[r, n, m] for r, n, m in self.antipodal],
         }
+
+    def to_json_text(self) -> str:
+        """``canonical_dumps(self.to_json_dict())``, formatted from the rows.
+
+        The one producer of a top-level module line (``solve``, ``show
+        --format json``).  ``%d`` is exact because every entry is an ``int``.
+        """
+        return '{"free":[%s],"antipodal":[%s]}' % (
+            ",".join(map("[%d,%d,%d]".__mod__, self.free)),
+            ",".join(map("[%d,%d,%d]".__mod__, self.antipodal)),
+        )
 
     @staticmethod
     def from_json_dict(data) -> "NormalFormModule":

@@ -5,7 +5,9 @@ report is still emitted), 2 on any error: its code goes to stderr and
 nothing to stdout.
 
 ``--format json`` never builds table text: each verb hands ``_emit`` a
-function that renders its table, called only under ``--format table``.
+function that renders its table, called only under ``--format table``.  A
+top-level module line (``solve``, ``show --format json``) is
+``NormalFormModule.to_json_text``, not the general encoder.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ def _run(args) -> int:
             constraints = replace(constraints, **overrides)
         if verb == "solve":
             for module in enumerate_decompositions(constraints):
-                print(canonical_dumps(module.to_json_dict()))
+                print(module.to_json_text())
             return 0
         payload = {
             "krasnov": krasnov_predict(constraints).to_json_dict(),
@@ -256,7 +258,7 @@ def _run(args) -> int:
     entry, module = _load_entry_and_module(args)
 
     if verb == "show":
-        _emit(args, module.to_json_dict(), lambda: render_rank_lattice(module))
+        print(module.to_json_text() if args.format == "json" else render_rank_lattice(module))
         return 0
 
     if verb == "classify":

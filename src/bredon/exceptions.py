@@ -31,7 +31,8 @@ class BredonError(Exception):
 
 
 class ConstraintViolation(BredonError):
-    """A structural bound on a normal form was violated (e.g. p < q)."""
+    """A structural rule of a normal form was violated (e.g. p < q, or a
+    non-integer entry)."""
 
     code = "CONSTRAINT_VIOLATION"
 

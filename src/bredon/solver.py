@@ -239,8 +239,14 @@ _NEEDED_SPHERE = {MaximalityClass.GALOIS_MAXIMAL_ONLY: 0, MaximalityClass.NEITHE
 def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
     """All normal forms consistent with the constraints, canonically sorted.
 
-    An empty list is a legitimate answer.  Raises :class:`SearchTooDeep` past
-    the interpreter's recursion limit, which high dimensions (n = 50) reach.
+    The whole list is built and sorted before it is returned; ``bredon
+    solve`` prints it afterwards, one ``to_json_text`` line per module.  An
+    empty list is a legitimate answer.  Raises :class:`SearchTooDeep` past
+    the interpreter's recursion limit.  The depth is one frame per slot
+    along a path, slots that take no summand included, so high dimensions
+    reach it (``[1,0,1,...,1,0,1]`` with all three flags from n = 30), and
+    so does Betti-only data with a long empty run: ``{0: 1, 2n: 1}`` returns
+    its n + 2 modules at n = 600 and raises at n = 1000.
     """
     n = cs.dimension
     betti = dict(cs.betti_total.items())
@@ -315,7 +321,7 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
         raise SearchTooDeep(
             f"the search for n={n} nests deeper than the interpreter's recursion limit"
         ) from None
-    results.sort(key=lambda m: m.sort_key())
+    results.sort(key=NormalFormModule.sort_key)
     return results
 
 

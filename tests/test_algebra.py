@@ -123,6 +123,23 @@ def test_make_module_errors():
     assert m.free_rank(1, 2) == 1
 
 
+@pytest.mark.parametrize(
+    "free, antipodal",
+    [
+        ([(1, 0, 1.5)], []),  # float multiplicity, printed M2[1,0]^1.5 before
+        ([(2.0, 0, 1)], []),  # float key
+        ([(True, False, True)], []),  # bools, whose JSON from_json_dict rejects
+        ([], [(1, 0, True)]),  # bool multiplicity
+        ([], [(0, False, 2)]),  # bool key
+        ([], [(1, 0, -1.5)]),  # a float is rejected before its sign is read
+    ],
+)
+def test_entries_must_be_integers(free, antipodal):
+    for build in (make_module, NormalFormModule):
+        with pytest.raises(ConstraintViolation, match="non-integer entry"):
+            build(free, antipodal)
+
+
 def test_direct_sum():
     m2 = make_module([(0, 0, 1)])
     assert direct_sum(m2, m2).free == ((0, 0, 2),)

@@ -6,12 +6,16 @@ it; they are kept here, and only here, as the specification: construction
 must give the same rows or raise the same exception class.
 """
 
+import json
+
+import pytest
 from hypothesis import given, strategies as st
 
 from bredon import (
     BivariatePolynomial,
     BorelModule,
     C2GradedSpace,
+    ConstraintViolation,
     GradedDims,
     HomologyModule,
     NegativeMultiplicity,
@@ -20,6 +24,8 @@ from bredon import (
     singular_betti,
     underlying_singular,
 )
+from bredon.serialize import canonical_dumps
+from test_localization import negative_shift_modules
 
 # ---------------------------------------------------------------------------
 # Dict-based reference merges
@@ -41,6 +47,8 @@ def ref_clean_items(pairs, what):
 def ref_merge_keys(entries, what):
     merged = {}
     for a, b, mult in entries:
+        if not all(type(x) is int for x in (a, b, mult)):
+            raise ConstraintViolation(f"{what} summand has a non-integer entry")
         if mult <= 0:
             raise NegativeMultiplicity(
                 f"{what} summand at ({a}, {b}) has multiplicity {mult}"
@@ -203,3 +211,62 @@ def test_singular_betti_matches_underlying_singular(free, antipodal):
     antipodal = [(a, b, abs(int(m)) + 1) for a, b, m in antipodal]
     m = NormalFormModule(tuple(free), tuple(antipodal))
     assert_same((singular_betti(m).entries,), (underlying_singular(m).dims().entries,))
+
+
+# ---------------------------------------------------------------------------
+# The module-text producer against the general encoder
+# ---------------------------------------------------------------------------
+
+# keys and multiplicities of one to four digits
+digits = st.integers(0, 1200)
+multiplicities = st.integers(1, 1200)
+cw_modules = st.builds(
+    NormalFormModule,
+    st.lists(
+        st.tuples(digits, digits, multiplicities).map(
+            lambda row: (max(row[:2]), min(row[:2]), row[2])
+        ),
+        max_size=6,
+    ),
+    st.lists(st.tuples(digits, digits, multiplicities), max_size=6),
+)
+signed_rows = st.lists(
+    st.tuples(st.integers(-1200, 1200), st.integers(-1200, 1200), multiplicities), max_size=6
+)
+
+
+def assert_text_is_canonical(m):
+    """``to_json_text`` is the general encoder's text, and parses back to m."""
+    text = m.to_json_text()
+    assert text == canonical_dumps(m.to_json_dict())
+    data = json.loads(text)
+    assert NormalFormModule(data["free"], data["antipodal"]) == m
+    return text
+
+
+@given(cw_modules)
+def test_json_text_is_canonical_dumps(m):
+    text = assert_text_is_canonical(m)
+    assert NormalFormModule.from_json_dict(json.loads(text)) == m
+
+
+@given(signed_rows, signed_rows)
+def test_json_text_outside_the_cw_box(free, antipodal):
+    assert_text_is_canonical(NormalFormModule(free, antipodal))
+
+
+def test_json_text_edge_cases():
+    for m, text in [
+        (NormalFormModule.zero(), '{"free":[],"antipodal":[]}'),
+        (NormalFormModule([(12, 10, 345)]), '{"free":[[12,10,345]],"antipodal":[]}'),
+        (NormalFormModule([], [(0, 0, 1000)]), '{"free":[],"antipodal":[[0,0,1000]]}'),
+    ]:
+        assert assert_text_is_canonical(m) == text
+        assert NormalFormModule.from_json_dict(json.loads(text)) == m
+    for m in negative_shift_modules():
+        assert_text_is_canonical(m)
+    # from_json_dict checks the CW box that NormalFormModule(...) does not
+    outside = NormalFormModule([(-1, -2, 1)], [(0, -3, 1)])
+    assert assert_text_is_canonical(outside) == '{"free":[[-1,-2,1]],"antipodal":[[0,-3,1]]}'
+    with pytest.raises(ConstraintViolation):
+        NormalFormModule.from_json_dict(json.loads(outside.to_json_text()))

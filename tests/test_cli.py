@@ -3,7 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from bredon import BredonError, ConstraintSet, GradedDims, SchemaError, catalog_get
+from bredon import (
+    BredonError,
+    ConstraintSet,
+    GradedDims,
+    SchemaError,
+    catalog_get,
+    enumerate_decompositions,
+)
 from bredon.cli import main
 from bredon.serialize import canonical_dumps
 
@@ -177,6 +184,19 @@ def test_solve_streams_k3(tmp_path, capsys):
     # byte-identical on a second run
     code2, out2, _ = run(capsys, "solve", "--constraints", str(path))
     assert code2 == 0 and out2 == out
+
+
+def test_solve_prints_every_module_canonically(tmp_path, capsys):
+    # Betti-only n=2 [1,0,12,0,1]: antipodal rows and multiplicities >= 10
+    constraints = ConstraintSet(dimension=2, betti_total=GradedDims.from_list([1, 0, 12, 0, 1]))
+    path = tmp_path / "betti.json"
+    path.write_text(json.dumps(constraints.to_json_dict()))
+    code, out, err = run(capsys, "solve", "--constraints", str(path))
+    assert code == 0 and err == ""
+    modules = enumerate_decompositions(constraints)
+    assert out.splitlines() == [canonical_dumps(m.to_json_dict()) for m in modules]
+    assert any(m.antipodal for m in modules)
+    assert any(mult >= 10 for m in modules for _, _, mult in m.free + m.antipodal)
 
 
 def test_predict(tmp_path, capsys):
