@@ -204,11 +204,17 @@ def power(base: str, exponent: int) -> str:
     return base if exponent == 1 else f"{base}^{exponent}"
 
 
-def _clean_items(rows: Iterable[Sequence], width: int, what: str) -> tuple:
+def clean_rows(rows: Iterable[Sequence], width: int, what: str) -> tuple:
+    """Canonical rows whose entries are all exact ``int`` and whose sums are >= 0.
+
+    A bool or a float anywhere in a row is a ValueError: its JSON could not
+    be read back.  A negative sum after the merge is a ValueError too.
+    """
     rows = tuple(rows)
     for row in rows:
-        if not isinstance(row[-1], int):
-            raise ValueError(f"{what} values must be integers, got {row[-1]!r}")
+        for entry in row:
+            if type(entry) is not int:
+                raise ValueError(f"{what} rows must hold integers, got {row!r}")
     merged = merge_rows(rows, width)
     for row in merged:
         if row[-1] < 0:
@@ -224,7 +230,7 @@ class GradedDims:
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _clean_items(self.entries, 2, "dimension"))
+        object.__setattr__(self, "entries", clean_rows(self.entries, 2, "dimension"))
 
     @staticmethod
     def from_list(dims: Iterable[int]) -> "GradedDims":
@@ -271,7 +277,7 @@ class UnivariatePolynomial:
     terms: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _clean_items(self.terms, 2, "coefficient"))
+        object.__setattr__(self, "terms", clean_rows(self.terms, 2, "coefficient"))
 
     def coefficient(self, exponent: int) -> int:
         return row_value(self.terms, (exponent,))
@@ -307,7 +313,7 @@ class BivariatePolynomial:
     terms: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _clean_items(self.terms, 3, "coefficient"))
+        object.__setattr__(self, "terms", clean_rows(self.terms, 3, "coefficient"))
 
     @staticmethod
     def from_mapping(mapping: Mapping[tuple[int, int], int]) -> "BivariatePolynomial":

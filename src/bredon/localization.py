@@ -29,7 +29,7 @@ from .algebra import (
     GradedDims,
     NormalFormModule,
     UnivariatePolynomial,
-    merge_rows,
+    clean_rows,
     power,
     rank_polynomial,
     row_value,
@@ -74,8 +74,8 @@ class C2GradedSpace:
     regular: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "trivial", merge_rows(self.trivial, 2))
-        object.__setattr__(self, "regular", merge_rows(self.regular, 2))
+        object.__setattr__(self, "trivial", clean_rows(self.trivial, 2, "count"))
+        object.__setattr__(self, "regular", clean_rows(self.regular, 2, "count"))
 
     def trivial_count(self, degree: int) -> int:
         return row_value(self.trivial, (degree,))
@@ -115,8 +115,8 @@ class BorelModule:
     torsion: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "free", merge_rows(self.free, 2))
-        object.__setattr__(self, "torsion", merge_rows(self.torsion, 3))
+        object.__setattr__(self, "free", clean_rows(self.free, 2, "count"))
+        object.__setattr__(self, "torsion", clean_rows(self.torsion, 3, "count"))
 
     @property
     def torsion_orders(self) -> tuple[int, ...]:
@@ -157,8 +157,8 @@ class HomologyModule:
     opposite_grading = True  # a class constant, not a field
 
     def __post_init__(self):
-        object.__setattr__(self, "free", merge_rows(self.free, 3))
-        object.__setattr__(self, "antipodal", merge_rows(self.antipodal, 3))
+        object.__setattr__(self, "free", clean_rows(self.free, 3, "multiplicity"))
+        object.__setattr__(self, "antipodal", clean_rows(self.antipodal, 3, "multiplicity"))
 
 
 @dataclass(frozen=True)

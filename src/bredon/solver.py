@@ -246,7 +246,12 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
     along a path, slots that take no summand included, so high dimensions
     reach it (``[1,0,1,...,1,0,1]`` with all three flags from n = 30), and
     so does Betti-only data with a long empty run: ``{0: 1, 2n: 1}`` returns
-    its n + 2 modules at n = 600 and raises at n = 1000.
+    its n + 2 modules at n = 600 and raises at n = 1000.  The limit counts
+    the caller's frames too, so the same data can pass or raise depending on
+    where it is called from: at n = 650 that set returns its modules from the
+    top level but raises when called 400 frames deeper, at n = 800 it raises
+    when called 200 frames deeper, and at n = 990 it raises from the top
+    level.
     """
     n = cs.dimension
     betti = dict(cs.betti_total.items())

@@ -15,6 +15,7 @@ from bredon import (
     BivariatePolynomial,
     BorelModule,
     C2GradedSpace,
+    ConstraintSet,
     ConstraintViolation,
     GradedDims,
     HomologyModule,
@@ -32,16 +33,18 @@ from test_localization import negative_shift_modules
 # ---------------------------------------------------------------------------
 
 
-def ref_clean_items(pairs, what):
+def ref_clean_rows(rows, what):
+    """Rows of exact ints (width 2 or 3), summed per key, no negative sum."""
     merged = {}
-    for key, value in pairs:
-        if not isinstance(value, int):
-            raise ValueError(f"{what} values must be integers, got {value!r}")
-        merged[key] = merged.get(key, 0) + value
+    for row in rows:
+        if not all(type(x) is int for x in row):
+            raise ValueError(f"{what} rows must hold integers, got {row!r}")
+        key = tuple(row[:-1])
+        merged[key] = merged.get(key, 0) + row[-1]
     for key, value in merged.items():
         if value < 0:
             raise ValueError(f"{what} at {key} is negative ({value})")
-    return tuple(sorted((k, v) for k, v in merged.items() if v != 0))
+    return tuple(sorted((*k, v) for k, v in merged.items() if v != 0))
 
 
 def ref_merge_keys(entries, what):
@@ -55,25 +58,6 @@ def ref_merge_keys(entries, what):
             )
         merged[(a, b)] = merged.get((a, b), 0) + mult
     return tuple((a, b, m) for (a, b), m in sorted(merged.items()))
-
-
-def ref_merge_pairs(pairs):
-    merged = {}
-    for d, c in pairs:
-        merged[d] = merged.get(d, 0) + c
-    return tuple(sorted((d, c) for d, c in merged.items() if c))
-
-
-def ref_merge_triples(triples):
-    merged = {}
-    for a, b, c in triples:
-        merged[(a, b)] = merged.get((a, b), 0) + c
-    return tuple((a, b, c) for (a, b), c in sorted(merged.items()) if c)
-
-
-def ref_bivariate(terms):
-    cleaned = ref_clean_items((((i, j), c) for i, j, c in terms), "coefficient")
-    return tuple((i, j, c) for (i, j), c in cleaned)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +101,7 @@ def assert_same(built, expected):
 def test_graded_dims_matches_reference(rows):
     assert_same(
         outcome(lambda: (GradedDims(tuple(rows)).entries,)),
-        outcome(lambda: (ref_clean_items(rows, "dimension"),)),
+        outcome(lambda: (ref_clean_rows(rows, "dimension"),)),
     )
 
 
@@ -125,7 +109,7 @@ def test_graded_dims_matches_reference(rows):
 def test_univariate_matches_reference(rows):
     assert_same(
         outcome(lambda: (UnivariatePolynomial(tuple(rows)).terms,)),
-        outcome(lambda: (ref_clean_items(rows, "coefficient"),)),
+        outcome(lambda: (ref_clean_rows(rows, "coefficient"),)),
     )
 
 
@@ -133,7 +117,7 @@ def test_univariate_matches_reference(rows):
 def test_bivariate_matches_reference(rows):
     assert_same(
         outcome(lambda: (BivariatePolynomial(tuple(rows)).terms,)),
-        outcome(lambda: (ref_bivariate(rows),)),
+        outcome(lambda: (ref_clean_rows(rows, "coefficient"),)),
     )
 
 
@@ -153,28 +137,78 @@ def test_normal_form_module_matches_reference(free, antipodal):
 
 @given(pairs, pairs)
 def test_c2_graded_space_matches_reference(trivial, regular):
-    space = C2GradedSpace(tuple(trivial), tuple(regular))
+    def build():
+        space = C2GradedSpace(tuple(trivial), tuple(regular))
+        return (space.trivial, space.regular)
+
     assert_same(
-        (space.trivial, space.regular),
-        (ref_merge_pairs(trivial), ref_merge_pairs(regular)),
+        outcome(build),
+        outcome(lambda: (ref_clean_rows(trivial, "count"), ref_clean_rows(regular, "count"))),
     )
 
 
 @given(pairs, triples)
 def test_borel_module_matches_reference(free, torsion):
-    borel = BorelModule(tuple(free), tuple(torsion))
+    def build():
+        borel = BorelModule(tuple(free), tuple(torsion))
+        return (borel.free, borel.torsion)
+
     assert_same(
-        (borel.free, borel.torsion), (ref_merge_pairs(free), ref_merge_triples(torsion))
+        outcome(build),
+        outcome(lambda: (ref_clean_rows(free, "count"), ref_clean_rows(torsion, "count"))),
     )
 
 
 @given(triples, triples)
 def test_homology_module_matches_reference(free, antipodal):
-    hom = HomologyModule(tuple(free), tuple(antipodal))
+    def build():
+        hom = HomologyModule(tuple(free), tuple(antipodal))
+        return (hom.free, hom.antipodal)
+
     assert_same(
-        (hom.free, hom.antipodal),
-        (ref_merge_triples(free), ref_merge_triples(antipodal)),
+        outcome(build),
+        outcome(
+            lambda: (
+                ref_clean_rows(free, "multiplicity"),
+                ref_clean_rows(antipodal, "multiplicity"),
+            )
+        ),
     )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GradedDims(((1.5, 1),)),
+        lambda: UnivariatePolynomial(((True, 1),)),
+        lambda: BivariatePolynomial(((0, 0, True),)),
+        lambda: BivariatePolynomial(((0, 0.0, 1),)),
+        lambda: C2GradedSpace(((0, 2.5),)),
+        lambda: C2GradedSpace((), ((False, 1),)),
+        lambda: BorelModule(((0, 1.0),), ()),
+        lambda: BorelModule((), ((0, True, 1),)),
+        lambda: HomologyModule(((0, 0, 1.5),), ()),
+        lambda: HomologyModule((), ((0, 1.0, 1),)),
+        lambda: ConstraintSet(dimension=1, betti_total=GradedDims(((0, True), (2, 1)))),
+    ],
+    ids=[
+        "dims-float-key",
+        "univariate-bool-key",
+        "bivariate-bool-value",
+        "bivariate-float-key",
+        "c2-float-value",
+        "c2-bool-key",
+        "borel-float-value",
+        "borel-bool-key",
+        "homology-float-value",
+        "homology-float-key",
+        "constraint-set-bool-betti",
+    ],
+)
+def test_a_bool_or_float_entry_is_rejected(build):
+    # such a row would serialize as true or 1.5, which no reader takes back
+    with pytest.raises(ValueError, match="rows must hold integers"):
+        build()
 
 
 counts = st.lists(st.tuples(keys, st.integers(0, 4)), max_size=8)

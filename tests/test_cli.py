@@ -10,6 +10,8 @@ from bredon import (
     SchemaError,
     catalog_get,
     enumerate_decompositions,
+    pd_symmetric,
+    real_manifold_validate,
 )
 from bredon.cli import main
 from bredon.serialize import canonical_dumps
@@ -130,6 +132,53 @@ def test_validate(capsys):
     assert any(f["condition"] == "pd_symmetry" for f in payload["failures"])
 
 
+FLAG_CHOICES = {
+    "fixed-point": ((), (True, "--fixed-point"), (False, "--no-fixed-point")),
+    "connected": ((), (True, "--connected"), (False, "--no-connected")),
+}
+
+
+@pytest.mark.parametrize("fixed_point", FLAG_CHOICES["fixed-point"])
+@pytest.mark.parametrize("connected", FLAG_CHOICES["connected"])
+def test_validate_flags_default_to_the_entry_else_false(tmp_path, capsys, fixed_point,
+                                                        connected):
+    # each condition is the flag if given, else the entry's field, else
+    # False for a module file, which carries neither
+    entry = catalog_get("severi_brauer_1")
+    module_file = tmp_path / "sb1.json"
+    module_file.write_text(canonical_dumps(entry.module.to_json_dict()))
+    flags = [choice[1] for choice in (fixed_point, connected) if choice]
+    for source, defaults in (
+        (["--catalog", "severi_brauer_1"], (entry.has_fixed_point, entry.connected)),
+        (["--module", str(module_file), "--dim", "1"], (False, False)),
+    ):
+        fp = fixed_point[0] if fixed_point else defaults[0]
+        conn = connected[0] if connected else defaults[1]
+        report = real_manifold_validate(entry.module, 1, fp, conn)
+        code, out, err = run(capsys, "validate", *source, *flags, "--format", "json")
+        assert (code, out, err) == (
+            0 if report.passed else 1,
+            canonical_dumps(report.to_json_dict()) + "\n",
+            "",
+        )
+
+
+def test_hodge_torsion_flag_overrides_the_catalog_default(capsys):
+    code, out, _ = run(capsys, "hodge", "--catalog", "k3_hodge_expressive",
+                       "--no-torsion-free", "--format", "json")
+    assert code == 0 and json.loads(out) == {"expressive": False, "birank": True}
+
+
+def test_pd_check_dim_overrides_the_entry(capsys):
+    k3 = catalog_get("k3", b_star=4, chi=4)
+    assert k3.dimension == 2
+    code, out, _ = run(capsys, "pd-check", "--catalog", "k3", "--param", "b_star=4",
+                       "--param", "chi=4", "--dim", "3", "--format", "json")
+    report = pd_symmetric(k3.module, 3)
+    assert not report.holds
+    assert (code, out) == (1, canonical_dumps(report.to_json_dict()) + "\n")
+
+
 def test_hodge(capsys):
     code, out, _ = run(capsys, "hodge", "--catalog", "k3_hodge_expressive",
                        "--format", "json")
@@ -232,41 +281,15 @@ def test_solve_constraint_overrides(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--constraints", str(path))
     assert code == 0
     baseline = len(out.strip().splitlines())
-    # dropping the duality hypothesis from the command line widens the fiber
-    code, out, _ = run(capsys, "solve", "--constraints", str(path), "--no-pd")
+    # dropping the duality hypothesis from the file widens the fiber
+    path.write_text(json.dumps(dict(constraints.to_json_dict(), poincare_dual=False)))
+    code, out, _ = run(capsys, "solve", "--constraints", str(path))
     assert code == 0
     assert len(out.strip().splitlines()) > baseline
-    # predict sees the overridden flags too
-    code, out, _ = run(capsys, "predict", "--constraints", str(path), "--no-pd",
-                       "--format", "json")
+    # predict follows the edited file too
+    code, out, _ = run(capsys, "predict", "--constraints", str(path), "--format", "json")
     assert code == 0
     assert json.loads(out)["threefold"]["applicable"] is False
-
-
-@pytest.mark.parametrize("flag, field", [
-    ("fixed-point", "has_fixed_point"),
-    ("pd", "poincare_dual"),
-])
-def test_every_override_flag_equals_editing_the_file(tmp_path, capsys, flag, field):
-    # b0 = 2, so connectedness is an input error; the three edits that
-    # differ from the base give three different answers
-    base = {"n": 2, "betti_total": [2, 0, 2, 0, 2], "has_fixed_point": True,
-            "connected": False, "poincare_dual": True}
-
-    def outputs(data, *flags):
-        path = tmp_path / "constraints.json"
-        path.write_text(json.dumps(data))
-        return [
-            run(capsys, verb, "--constraints", str(path), *flags, *fmt)
-            for verb, fmt in (("solve", ()), ("predict", ("--format", "json")))
-        ]
-
-    flipped = {key: outputs(dict(base, **{key: not base[key]}))[0]
-               for key in ("has_fixed_point", "connected", "poincare_dual")}
-    assert len({out for _, out, _ in [outputs(base)[0], *flipped.values()]}) == 4
-    for value in (True, False):
-        given = f"--{flag}" if value else f"--no-{flag}"
-        assert outputs(base, given) == outputs(dict(base, **{field: value}))
 
 
 @pytest.mark.parametrize("betti", [[1, 0, 2, 0, 1], [1, 1, 2, 1, 1], [1, 0, 3, 0, 1]])
@@ -287,11 +310,13 @@ def test_connected_field_changes_no_solve_or_predict_output(tmp_path, capsys, be
                 ])
             assert seen[0] == seen[1]
             assert all(code == 0 for code, _, _ in seen[0])
+    # every condition is a field of the file: no flag overrides one
     for verb in ("solve", "predict"):
-        with pytest.raises(SystemExit) as info:
-            main([verb, "--constraints", str(path), "--connected"])
-        assert info.value.code == 2
-        assert "unrecognized arguments: --connected" in capsys.readouterr().err
+        for flag in ("--connected", "--pd", "--no-pd", "--fixed-point", "--no-fixed-point"):
+            with pytest.raises(SystemExit) as info:
+                main([verb, "--constraints", str(path), flag])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_search_too_deep_exits_2(tmp_path, capsys):
