@@ -16,7 +16,7 @@ __all__ = [
     "TorsionUnknown",
     "InternalInconsistency",
     "InfeasibleBounds",
-    "SearchTooDeep",
+    "SearchTooLarge",
     "UnknownName",
     "ParameterRange",
     "ParseError",
@@ -73,10 +73,10 @@ class InfeasibleBounds(BredonError):
     code = "INFEASIBLE_BOUNDS"
 
 
-class SearchTooDeep(BredonError):
-    """The decomposition search nests deeper than the interpreter's recursion limit."""
+class SearchTooLarge(BredonError):
+    """The decomposition search needs more states than its fixed bound."""
 
-    code = "SEARCH_TOO_DEEP"
+    code = "SEARCH_TOO_LARGE"
 
 
 class UnknownName(BredonError):

@@ -18,7 +18,7 @@ degree the units still left there must be used up exactly, and the units
 charged to higher degrees and to the fixed locus must stay within their
 budgets.  Keys the forgetful or class rules forbid are never offered.
 
-**Slot-level memo.**  Every exact-sum constraint is a named budget, and the
+**Search DAG.**  Every exact-sum constraint is a named budget, and the
 search holds only the budgets that start positive: the singular Betti
 number of each degree the data names, the fixed-locus one of each fixed
 degree it names when the fixed locus is given, and, under the class filters
@@ -30,18 +30,25 @@ it to 0; it is not charged per copy and bounds no multiplicity.  MAXIMAL
 needs no entry, since it is offered no antipodal key.  The plan is built
 from the data and alone names and orders the budgets.  Budgets only go
 down, so an orbit representative becomes a slot only when every budget it
-charges is named; the plan, the budget list and every memo key therefore
-grow with the data rather than with n.  The slots form one degree-ordered
-list.  What can still happen from slot i on depends only on the state
-``(i, budgets)``; each state is expanded once, passing over slots whose
-budgets ran out earlier in the search and trying every multiplicity they
-allow, and keeps the edges that lead to a completion.  A budget must be
-spent once no later slot charges it (``closing``), which is how each
-degree's units are used up exactly; every slot uses units of its own
-degree, so once those are spent the search jumps to the next degree.  A
-starting budget that is not a multiple of the gcd of the units its slots
-charge it cannot be spent exactly, so :func:`enumerate_decompositions`
-returns nothing for such data before it searches.
+charges is named; the plan, the budget list and every search state
+therefore grow with the data rather than with n.  The slots form one
+degree-ordered list.  What can still happen from slot i on depends only on
+the state ``(i, budgets)``, and every edge leads to a later slot, so the
+DAG is built level by level in slot order: each state is expanded once,
+passing over slots whose budgets ran out earlier in the search and trying
+every multiplicity they allow.  A sweep back over the levels then keeps the
+edges that lead to a completion, and a walk over an explicit stack turns
+each remaining path into a module.  Nothing recurses, so no answer depends
+on the interpreter's stack.  One search holds at most ``_MAX_STATES``
+(65,536) states and raises :class:`SearchTooLarge` when it would add one
+more; the walk is not bounded, since few states can carry very many paths.
+A budget must be spent once no later slot charges it (``closing``), which
+is how each degree's units are used up exactly; every slot uses units of
+its own degree, so once those are spent the search jumps to the next
+degree.  A starting budget that is not a multiple of the gcd of the units
+its slots charge it cannot be spent exactly, so
+:func:`enumerate_decompositions` returns nothing for such data before it
+searches.
 
 Every module the search produces is re-checked through the public
 localization and classification operations before it is returned, so the
@@ -66,7 +73,7 @@ from math import gcd
 
 from .algebra import GradedDims, NormalFormModule, make_module
 from .classification import MaximalityClass, classify
-from .exceptions import ConstraintViolation, InfeasibleBounds, SchemaError, SearchTooDeep
+from .exceptions import ConstraintViolation, InfeasibleBounds, SchemaError, SearchTooLarge
 from .localization import (
     forgetful_image_dims,
     real_manifold_validate,
@@ -235,23 +242,22 @@ def satisfies_constraints(cs: ConstraintSet, module: NormalFormModule) -> bool:
 # antipodal key.
 _NEEDED_SPHERE = {MaximalityClass.GALOIS_MAXIMAL_ONLY: 0, MaximalityClass.NEITHER: 1}
 
+# The most search states, (slot, budgets) pairs, one search may hold.
+_MAX_STATES = 1 << 16
+
 
 def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
     """All normal forms consistent with the constraints, canonically sorted.
 
     The whole list is built and sorted before it is returned; ``bredon
     solve`` prints it afterwards, one ``to_json_text`` line per module.  An
-    empty list is a legitimate answer.  Raises :class:`SearchTooDeep` past
-    the interpreter's recursion limit.  The depth is one frame per slot
-    along a path, slots that take no summand included, so high dimensions
-    reach it (``[1,0,1,...,1,0,1]`` with all three flags from n = 30), and
-    so does Betti-only data with a long empty run: ``{0: 1, 2n: 1}`` returns
-    its n + 2 modules at n = 600 and raises at n = 1000.  The limit counts
-    the caller's frames too, so the same data can pass or raise depending on
-    where it is called from: at n = 650 that set returns its modules from the
-    top level but raises when called 400 frames deeper, at n = 800 it raises
-    when called 200 frames deeper, and at n = 990 it raises from the top
-    level.
+    empty list is a legitimate answer.  Raises :class:`SearchTooLarge` when
+    the search DAG would exceed ``_MAX_STATES`` states, whatever the call
+    stack.  ``[1,0,1,...,1,0,1]`` with all three flags builds 60,126 states
+    at n = 18 (and then walks more paths than can be listed) and raises at
+    every even n >= 20 within about a second; odd n returns ``[]`` at once
+    through the gcd rule.  Betti-only ``{0: 1, 2n: 1}`` has n + 7 states and
+    returns its n + 2 modules at n = 20000.
     """
     n = cs.dimension
     betti = dict(cs.betti_total.items())
@@ -269,63 +275,65 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
     if any(budget[e] % k for e, k in units):
         return []
 
-    # state (slot index, budgets) -> edges (free segment, antipodal segment,
-    # child state) that lead to a completion; a completing edge has child None
-    memo: dict[tuple, list] = {}
-
-    def build(i):
-        while True:  # pass over the slots whose budgets ran out on the way here
-            if any(budget[e] for e in closing[i]):
-                return []
-            if i == len(slots):
-                return [((), (), None)]
-            charges, free_keys, anti_keys, clears, after = slots[i]
-            cap = min(budget[e] // k for e, k in charges)
-            if cap:
+    # levels[i]: budgets -> edges out of state (i, budgets), first as
+    # (multiplicity, free keys, antipodal keys, child edges), then, once
+    # pruned, as (free segment, antipodal segment, child edges); a completing
+    # edge has child None.  Every edge leads to a later slot, so the levels
+    # are expanded in order.
+    levels: list[dict[tuple, list]] = [{} for _ in range(len(slots) + 1)]
+    levels[0][tuple(budget)] = root = []
+    states = 1
+    for i, level in enumerate(levels):
+        for key, edges in level.items():
+            budget, j = list(key), i
+            while not any(budget[e] for e in closing[j]):
+                if j == len(slots):
+                    edges.append((0, (), (), None))
+                    break
+                charges, free_keys, anti_keys, clears, after = slots[j]
+                cap = min(budget[e] // k for e, k in charges)
+                if not cap:  # pass over a slot whose budgets ran out earlier
+                    j = j + 1 if budget[charges[0][0]] else after
+                    continue
+                for c in range(cap + 1):  # c copies are charged to budget here
+                    # once its own degree is spent, no later slot of that degree fits
+                    target = levels[j + 1 if budget[charges[0][0]] else after]
+                    child_key = tuple(budget)
+                    child = target.get(child_key)
+                    if child is None:
+                        states += 1
+                        if states > _MAX_STATES:
+                            raise SearchTooLarge(
+                                f"the search for n={n} needs more than {_MAX_STATES} states"
+                            )
+                        child = target[child_key] = []
+                    edges.append((c, free_keys, anti_keys, child))
+                    for e, k in charges:
+                        budget[e] -= k
+                    if clears:
+                        budget[-1] = 0  # the class entry, which the plan names last
                 break
-            i = i + 1 if budget[charges[0][0]] else after
-        missing = budget[-1]  # the class entry, which the plan names last
-        edges = []
-        for c in range(cap + 1):
-            if c:
-                for e, k in charges:
-                    budget[e] -= k
-                if clears:
-                    budget[-1] = 0
-            # once its own degree is spent, no later slot of that degree fits
-            nxt = i + 1 if budget[charges[0][0]] else after
-            child = (nxt, tuple(budget))
-            alive = memo.get(child)
-            if alive is None:
-                alive = memo[child] = build(nxt)
-            if alive:
-                free_seg = tuple((p, q, c) for p, q in free_keys) if c else ()
-                anti_seg = tuple((s, t, c) for s, t in anti_keys) if c else ()
-                edges.append((free_seg, anti_seg, child))
-        for e, k in charges:
-            budget[e] += cap * k
-        if clears:
-            budget[-1] = missing
-        return edges
 
-    results: list[NormalFormModule] = []
+    # keep only the edges that lead to a completion, later levels first, and
+    # set their rows only then: most edges of a small search die
+    for level in reversed(levels):
+        for edges in level.values():
+            if edges:
+                edges[:] = [
+                    (tuple((p, q, c) for p, q in free_keys) if c else (),
+                     tuple((s, t, c) for s, t in anti_keys) if c else (), child)
+                    for c, free_keys, anti_keys, child in edges if child is None or child
+                ]
 
-    def walk(edges, free, anti):
+    # walk every path left, one module per completing edge
+    results, stack = [], [(root, (), ())]
+    while stack:
+        edges, free, anti = stack.pop()
         for free_seg, anti_seg, child in edges:
             if child is not None:
-                walk(memo[child], free + free_seg, anti + anti_seg)
-                continue
-            module = make_module(free + free_seg, anti + anti_seg)
-            if satisfies_constraints(cs, module):
+                stack.append((child, free + free_seg, anti + anti_seg))
+            elif satisfies_constraints(cs, module := make_module(free + free_seg, anti + anti_seg)):
                 results.append(module)
-
-    try:
-        walk(build(0), (), ())
-    except RecursionError:
-        # one frame per state along a path: the depth grows with n
-        raise SearchTooDeep(
-            f"the search for n={n} nests deeper than the interpreter's recursion limit"
-        ) from None
     results.sort(key=NormalFormModule.sort_key)
     return results
 

@@ -319,7 +319,7 @@ def test_connected_field_changes_no_solve_or_predict_output(tmp_path, capsys, be
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_search_too_deep_exits_2(tmp_path, capsys):
+def test_search_too_large_exits_2(tmp_path, capsys):
     n = 50
     path = tmp_path / "deep.json"
     path.write_text(json.dumps({
@@ -328,10 +328,7 @@ def test_search_too_deep_exits_2(tmp_path, capsys):
     }))
     code, out, err = run(capsys, "solve", "--constraints", str(path))
     assert code == 2 and out == ""
-    assert err == (
-        "error[SEARCH_TOO_DEEP]: the search for n=50 nests deeper than the "
-        "interpreter's recursion limit\n"
-    )
+    assert err == "error[SEARCH_TOO_LARGE]: the search for n=50 needs more than 65536 states\n"
 
 
 def test_solve_point_in_high_dimension(tmp_path, capsys):

@@ -7,14 +7,14 @@ import bredon
 SUBMODULES = ("algebra", "localization", "classification", "solver", "catalog", "exceptions")
 
 # the public names before the package built __all__ from its submodules,
-# plus SearchTooDeep, added with the search-depth bound
+# plus SearchTooLarge, added with the bound on search states
 PUBLIC_NAMES = [
     "BivariatePolynomial", "BorelModule", "BredonError", "C2GradedSpace", "CatalogEntry",
     "ConstraintSet", "ConstraintViolation", "GradedDims", "HomologyModule", "InfeasibleBounds",
     "InternalInconsistency", "InvalidShift", "M2Element", "MaximalityClass",
     "MaximalityPrediction", "NegativeExponent", "NegativeMultiplicity", "NormalFormModule",
     "ONE", "ParameterRange", "ParseError", "PdReport", "PdViolation", "RHO", "SchemaError",
-    "SearchTooDeep", "SmithThomReport", "TAU", "THETA", "TorsionUnknown",
+    "SearchTooLarge", "SmithThomReport", "TAU", "THETA", "TorsionUnknown",
     "UnivariatePolynomial", "UnknownName", "ValidationFailure", "ValidationReport", "ZERO",
     "borel_classify", "catalog_get", "catalog_list", "classify", "direct_sum",
     "enumerate_decompositions", "fixed_poincare_polynomial", "forgetful_image_dims",

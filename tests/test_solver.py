@@ -11,7 +11,7 @@ from bredon import (
     InfeasibleBounds,
     MaximalityClass,
     SchemaError,
-    SearchTooDeep,
+    SearchTooLarge,
     catalog_get,
     classify,
     enumerate_decompositions,
@@ -21,6 +21,7 @@ from bredon import (
     threefold_predict,
     underlying_singular,
 )
+from bredon import solver
 from bredon.serialize import canonical_dumps
 from bredon.solver import _orbit_plan
 
@@ -397,8 +398,9 @@ def test_infeasible_bounds():
         assert str(info.value) == message
 
 
-def test_search_too_deep():
-    """A search nesting past the recursion limit is a documented input error."""
+def test_search_too_large():
+    """A search needing more states than the fixed bound is a documented
+    input error, raised while the states are built."""
     n = 50
     cs = ConstraintSet(
         dimension=n,
@@ -407,11 +409,34 @@ def test_search_too_deep():
         connected=True,
         poincare_dual=True,
     )
-    with pytest.raises(SearchTooDeep) as info:
+    with pytest.raises(SearchTooLarge) as info:
         enumerate_decompositions(cs)
-    assert str(info.value) == (
-        "the search for n=50 nests deeper than the interpreter's recursion limit"
-    )
+    assert str(info.value) == "the search for n=50 needs more than 65536 states"
+
+
+def test_long_empty_run_needs_no_deep_stack():
+    """``{0: 1, 2n: 1}`` passes over 2n - 1 empty degrees; its n + 2 modules
+    come back whatever the caller's stack depth."""
+    cs = ConstraintSet(dimension=1000, betti_total=GradedDims(((0, 1), (2000, 1))))
+    results = enumerate_decompositions(cs)
+    assert len(results) == 1002
+
+    def nested(depth):
+        return enumerate_decompositions(cs) if depth == 0 else nested(depth - 1)
+
+    assert nested(400) == results
+
+
+def test_state_bound_counts_states_not_paths(monkeypatch):
+    """n=2 ``[1,0,4,0,1]`` has 147 modules over 52 search states: the bound
+    admits it at 52 states and refuses it at 51."""
+    cs = ConstraintSet(dimension=2, betti_total=GradedDims.from_list([1, 0, 4, 0, 1]))
+    monkeypatch.setattr(solver, "_MAX_STATES", 52)
+    assert len(enumerate_decompositions(cs)) == 147
+    monkeypatch.setattr(solver, "_MAX_STATES", 51)
+    with pytest.raises(SearchTooLarge) as info:
+        enumerate_decompositions(cs)
+    assert str(info.value) == "the search for n=2 needs more than 51 states"
 
 
 def test_plan_follows_the_data():
