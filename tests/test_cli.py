@@ -331,6 +331,12 @@ def test_search_too_large_exits_2(tmp_path, capsys):
     assert err == "error[SEARCH_TOO_LARGE]: the search for n=50 needs more than 65536 states\n"
 
 
+def test_solve_prints_nothing_for_an_empty_result(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 1, "betti_total": [0, 1, 0], "poincare_dual": true}')
+    assert run(capsys, "solve", "--constraints", str(path)) == (0, "", "")
+
+
 def test_solve_point_in_high_dimension(tmp_path, capsys):
     path = tmp_path / "point.json"
     path.write_text('{"n": 300, "betti_total": [1]}')
@@ -427,6 +433,16 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     module_file.write_text('{"free":[[0,0,1]],"antipodal":[]}')
     code, _, err = run(capsys, "pd-check", "--module", str(module_file))
     assert code == 2 and "SCHEMA_ERROR" in err and "dim" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--catalog", "k3", "--param", "g"], "expected K=V, got 'g'"),
+    (["--catalog", "k3", "--param", "g=x"], "g: expected an integer, got 'x'"),
+    # checked before the module file is read, so the missing file is not reached
+    (["--module", "missing.json", "--param", "g=1"], "--param is only valid with --catalog"),
+])
+def test_param_errors_exit_2(capsys, argv, message):
+    assert run(capsys, "show", *argv) == (2, "", f"error[SCHEMA_ERROR]: param: {message}\n")
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])

@@ -1,4 +1,6 @@
-"""Byte pin of every module verb's stdout and exit code, in both formats.
+"""Byte pin of every module verb's stdout and exit code, in both formats, of
+``catalog``, ``solve`` and ``predict`` on the demo constraint files, and of
+the ``--help`` text of the program and of every verb.
 
 Record again with ``PYTHONPATH=src python tests/test_cli_golden.py``, and only
 at a commit whose outputs are trusted.
@@ -7,11 +9,13 @@ at a commit whose outputs are trusted.
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 from bredon.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_outputs.json"
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 VERBS = (
     "show",
@@ -31,20 +35,53 @@ ENTRIES = {
     "curve(g=3,r=1)": ["--catalog", "curve", "--param", "g=3", "--param", "r=1"],
     "severi_brauer_1": ["--catalog", "severi_brauer_1"],
     "cubic_threefold_s3_rp3": ["--catalog", "cubic_threefold_s3_rp3"],
+    "twisted_plane": ["--catalog", "twisted_plane"],
 }
 FORMATS = ("table", "json")
+HELP = ((), ("catalog",), *((verb,) for verb in VERBS), ("solve",), ("predict",))
+
+
+def _main(argv: list[str]) -> tuple[int, str]:
+    """The exit code and stdout of one run; ``--help`` exits through SystemExit."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
 
 
 def outputs() -> dict:
-    """``"verb entry format" -> {"code", "stdout"}`` for every case."""
+    """``"verb entry format"`` and ``"[verb] --help"`` -> ``{"code", "stdout"}``
+    for every case.  Help text is rendered 80 columns wide."""
     recorded = {}
     for verb in VERBS:
         for label, source in ENTRIES.items():
             for fmt in FORMATS:
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = main([verb, *source, "--format", fmt])
-                recorded[f"{verb} {label} {fmt}"] = {"code": code, "stdout": out.getvalue()}
+                code, out = _main([verb, *source, "--format", fmt])
+                recorded[f"{verb} {label} {fmt}"] = {"code": code, "stdout": out}
+    for fmt in FORMATS:
+        code, out = _main(["catalog", "--format", fmt])
+        recorded[f"catalog {fmt}"] = {"code": code, "stdout": out}
+    for name in ("k3_s2s2.json", "cubic_s3_rp3.json"):
+        constraints = ["--constraints", str(DEMO_DATA / name)]
+        code, out = _main(["solve", *constraints])
+        recorded[f"solve {name}"] = {"code": code, "stdout": out}
+        for fmt in FORMATS:
+            code, out = _main(["predict", *constraints, "--format", fmt])
+            recorded[f"predict {name} {fmt}"] = {"code": code, "stdout": out}
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        for verb in HELP:
+            code, out = _main([*verb, "--help"])
+            recorded[" ".join([*verb, "--help"])] = {"code": code, "stdout": out}
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return recorded
 
 
