@@ -1,12 +1,14 @@
 """Built-in parameterized families of equivariant cohomology normal forms.
 
 Each entry is a closed formula together with the metadata needed to drive
-the checking operations (dimension, fixed points, connectivity, expected
-class, Hodge polynomial where one is classically known).  The families
-double as a golden corpus: the solver re-derives several of them from
-topological constraints, and the two routes cross-validate each other.
-A builder returns an entry's fields other than its name and parameters,
-which :func:`catalog_get` sets.
+the checking operations (dimension, expected class, Hodge polynomial where
+one is classically known).  The families double as a golden corpus: the
+solver re-derives several of them from topological constraints, and the
+two routes cross-validate each other.  A builder returns only what the
+module does not decide: the entry's fields other than its name and
+parameters, which :func:`catalog_get` sets.  Whether the fixed locus is
+nonempty and whether the space is connected are properties of the entry,
+read off its module.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from .algebra import BivariatePolynomial, NormalFormModule, make_module
 from .classification import MaximalityClass
 from .exceptions import ParameterRange, UnknownName
+from .localization import singular_betti
 
 __all__ = ["CatalogEntry", "catalog_get", "catalog_list"]
 
@@ -30,12 +33,21 @@ class CatalogEntry:
     parameters: dict
     module: NormalFormModule
     dimension: int | None
-    has_fixed_point: bool
-    connected: bool
     expected_class: MaximalityClass
     is_real_manifold: bool
     hodge_polynomial: BivariatePolynomial | None = None
     notes: str = ""
+
+    @property
+    def has_fixed_point(self) -> bool:
+        """Whether the fixed locus is nonempty: exactly when a free summand
+        survives rho-localization, that is, when the module has one."""
+        return bool(self.module.free)
+
+    @property
+    def connected(self) -> bool:
+        """Whether the singular degree-0 Betti number is 1."""
+        return singular_betti(self.module).get(0) == 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -58,8 +70,6 @@ def _point() -> dict:
     return dict(
         module=make_module([(0, 0, 1)]),
         dimension=0,
-        has_fixed_point=True,
-        connected=True,
         expected_class=M,
         is_real_manifold=True,
         hodge_polynomial=BivariatePolynomial(((0, 0, 1),)),
@@ -75,8 +85,6 @@ def _representation_sphere(p: int, q: int) -> dict:
     return dict(
         module=module,
         dimension=q if is_complex else None,
-        has_fixed_point=True,
-        connected=p >= 1,
         expected_class=M,
         is_real_manifold=is_complex,
         notes="carries a Real structure exactly when p = 2q",
@@ -91,8 +99,6 @@ def _projective_space(n: int) -> dict:
     return dict(
         module=module,
         dimension=n,
-        has_fixed_point=True,
-        connected=True,
         expected_class=M,
         is_real_manifold=True,
         hodge_polynomial=hodge,
@@ -112,8 +118,6 @@ def _curve(g: int, r: int) -> dict:
     return dict(
         module=make_module(free, antipodal),
         dimension=1,
-        has_fixed_point=True,
-        connected=True,
         expected_class=M if r == g else GM,
         is_real_manifold=True,
         hodge_polynomial=hodge,
@@ -125,8 +129,6 @@ def _severi_brauer_1() -> dict:
     return dict(
         module=make_module([], [(0, 2, 1)]),
         dimension=1,
-        has_fixed_point=False,
-        connected=True,
         expected_class=NEITHER,
         is_real_manifold=True,
         notes="the real conic with no real points; an antipodal 2-sphere",
@@ -140,8 +142,6 @@ def _severi_brauer_odd(k: int) -> dict:
     return dict(
         module=module,
         dimension=2 * k + 1,
-        has_fixed_point=False,
-        connected=True,
         expected_class=NEITHER,
         is_real_manifold=True,
         notes="pointless Severi-Brauer variety of odd dimension 2k+1",
@@ -152,8 +152,6 @@ def _twisted_plane() -> dict:
     return dict(
         module=make_module([(0, 0, 1), (1, 1, 1), (2, 1, 1)]),
         dimension=1,
-        has_fixed_point=True,
-        connected=True,
         expected_class=M,
         is_real_manifold=False,
         notes="the projective plane with the half-turn action; breaks the "
@@ -187,8 +185,6 @@ def _k3(b_star: int, chi: int) -> dict:
     return dict(
         module=make_module(free, antipodal),
         dimension=2,
-        has_fixed_point=True,
-        connected=True,
         expected_class=M if c == 0 else GM,
         is_real_manifold=True,
         hodge_polynomial=K3_HODGE,
@@ -208,8 +204,6 @@ def _cubic_threefold() -> dict:
     return dict(
         module=make_module(free, antipodal),
         dimension=3,
-        has_fixed_point=True,
-        connected=True,
         expected_class=GM,
         is_real_manifold=True,
         hodge_polynomial=CUBIC_HODGE,

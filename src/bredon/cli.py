@@ -1,10 +1,12 @@
 """Command-line frontend: every operation over JSON files or catalog entries.
 
-Each module verb is one row of ``_VERBS``: its help, its handler and its
-extra arguments.  ``build_parser`` builds every module-verb subparser from
-that table, and ``_run`` resolves ``--catalog/--module`` once, calls the
-handler and prints what it returns.  ``solve`` and ``predict`` read only
-``--constraints``: every condition they apply is a field of that file.
+Each verb is one row of ``_VERBS``: its help, its input, its handler and
+its own arguments.  The input is one of three kinds in ``_INPUTS``: a
+module (``--catalog NAME`` with ``--param``, or ``--module FILE``), a
+constraints file (``--constraints FILE``: every condition ``solve`` and
+``predict`` apply is a field of it), or nothing.  ``build_parser`` builds
+every subparser from the two tables, and ``_run`` loads the input the row
+names, calls the handler and prints what it returns, once.
 
 Exit codes: 0 on success, 1 when ``pd-check`` or ``validate`` fails (the
 report is still emitted), 2 on any error: its code goes to stderr and
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable
 
 from .algebra import BivariatePolynomial, NormalFormModule, power, rank_polynomial
 from .catalog import catalog_get, catalog_list
@@ -31,7 +32,7 @@ from .classification import (
     hodge_expressive_check,
     smith_thom_report,
 )
-from .exceptions import BredonError, SchemaError
+from .exceptions import BredonError, InfeasibleBounds, SchemaError
 from .localization import (
     fixed_poincare_polynomial,
     forgetful_image_dims,
@@ -76,12 +77,26 @@ def _dims_table(dims, label: str) -> str:
     return f"{label}: {body}   total {dims.total()}"
 
 
+# The most cells, (max_q + 1) * (max_p + 1), a rank-lattice table may have.
+_MAX_LATTICE_CELLS = 1 << 16
+
+
 def render_rank_lattice(module: NormalFormModule) -> str:
-    """Text grid of the free multiplicities in the (p, q) plane."""
+    """Text grid of the free multiplicities in the (p, q) plane.
+
+    Raises :class:`InfeasibleBounds` when the grid would have more than
+    ``_MAX_LATTICE_CELLS`` cells.
+    """
     lines = []
     if module.free:
         max_p = max(p for p, _, _ in module.free)
         max_q = max(q for _, q, _ in module.free)
+        size = (max_q + 1) * (max_p + 1)
+        if size > _MAX_LATTICE_CELLS:
+            raise InfeasibleBounds(
+                f"the rank lattice has {max_q + 1} x {max_p + 1} = {size} cells, "
+                f"more than {_MAX_LATTICE_CELLS}; print the module with --format json"
+            )
         ranks = module.free_map()
         width = max(len(str(m)) for _, _, m in module.free)
         width = max(width, len(str(max_p)), 1)
@@ -101,19 +116,6 @@ def render_rank_lattice(module: NormalFormModule) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, payload, table: Callable[[], str]):
-    """Print the payload as canonical JSON, or the text ``table()`` renders.
-
-    A module payload prints through its own text producer.
-    """
-    if args.format == "table":
-        print(table())
-    elif isinstance(payload, NormalFormModule):
-        print(payload.to_json_text())
-    else:
-        print(canonical_dumps(payload))
-
-
 def _resolve_dim(args, entry) -> int:
     if args.dim is not None:
         if args.dim < 0:
@@ -131,17 +133,32 @@ def _flag_or_entry(flag: bool | None, entry, field: str) -> bool:
     return getattr(entry, field) if entry is not None else False
 
 
-# -- module verbs: each takes (args, entry, module) and returns
-#    (payload, table renderer, exit code)
+# -- handlers: each takes the parsed arguments and the loaded input, and
+#    returns (payload, table renderer, exit code).  The renderer returns the
+#    table's lines; a tuple payload is a sequence of modules, one JSON line
+#    each.
+
+
+def _catalog(args):
+    listing = catalog_list()
+
+    def table() -> list[str]:
+        lines = []
+        for entry in listing:
+            params = ", ".join(p["name"] for p in entry["parameters"])
+            lines.append(entry["name"] + (f" ({params})" if params else ""))
+        return lines
+
+    return listing, table, 0
 
 
 def _show(args, entry, module):
-    return module, lambda: render_rank_lattice(module), 0
+    return (module,), lambda: [render_rank_lattice(module)], 0
 
 
 def _classify(args, entry, module):
     klass = classify(module)
-    return {"class": klass.value}, lambda: klass.value, 0
+    return {"class": klass.value}, lambda: [klass.value], 0
 
 
 def _report(args, entry, module):
@@ -159,76 +176,61 @@ def _report(args, entry, module):
         "singular": singular.to_json_dict(),
         "forgetful_image": _dims_json(image),
     }
-
-    def table() -> str:
-        return "\n".join(
-            [
-                f"class: {ledger.klass.value}",
-                f"totals: fixed {ledger.fixed_total} <= group cohomology "
-                f"{ledger.group_cohomology_total} <= singular {ledger.singular_total}",
-                _dims_table(fixed, "fixed Betti"),
-                _dims_table(singular.dims(), "singular Betti"),
-                _dims_table(image, "forgetful image"),
-                f"borel: {borel}",
-            ]
-        )
-
-    return payload, table, 0
+    return payload, lambda: [
+        f"class: {ledger.klass.value}",
+        f"totals: fixed {ledger.fixed_total} <= group cohomology "
+        f"{ledger.group_cohomology_total} <= singular {ledger.singular_total}",
+        _dims_table(fixed, "fixed Betti"),
+        _dims_table(singular.dims(), "singular Betti"),
+        _dims_table(image, "forgetful image"),
+        f"borel: {borel}",
+    ], 0
 
 
 def _fixed(args, entry, module):
     dims = rho_localize(module)
     poly = fixed_poincare_polynomial(module)
     payload = {"betti": _dims_json(dims), "poincare_polynomial": str(poly)}
-    return payload, lambda: _dims_table(dims, "fixed Betti") + f"\nP(t) = {poly}", 0
+    return payload, lambda: [_dims_table(dims, "fixed Betti"), f"P(t) = {poly}"], 0
 
 
 def _borel(args, entry, module):
     borel = tau_localize(module)
-    return borel.to_json_dict(), lambda: str(borel), 0
+    return borel.to_json_dict(), lambda: [str(borel)], 0
 
 
 def _singular(args, entry, module):
     singular = underlying_singular(module)
     group = group_cohomology_dims(singular)
     payload = dict(singular.to_json_dict(), group_cohomology=_dims_json(group))
-
-    def table() -> str:
-        return "\n".join(
-            [
-                _dims_table(singular.dims(), "singular Betti"),
-                _dims_table(singular.fixed_dims(), "involution-fixed"),
-                _dims_table(group, "group cohomology H^1"),
-            ]
-        )
-
-    return payload, table, 0
+    return payload, lambda: [
+        _dims_table(singular.dims(), "singular Betti"),
+        _dims_table(singular.fixed_dims(), "involution-fixed"),
+        _dims_table(group, "group cohomology H^1"),
+    ], 0
 
 
 def _image(args, entry, module):
     dims = forgetful_image_dims(module)
-    return _dims_json(dims), lambda: _dims_table(dims, "forgetful image"), 0
+    return _dims_json(dims), lambda: [_dims_table(dims, "forgetful image")], 0
 
 
 def _rankpoly(args, entry, module):
     poly = rank_polynomial(module)
-    return poly.to_json(), lambda: f"R(u,v) = {poly}", 0
+    return poly.to_json(), lambda: [f"R(u,v) = {poly}"], 0
 
 
 def _pd_check(args, entry, module):
     dim = _resolve_dim(args, entry)
     report = pd_symmetric(module, dim)
-
-    def table() -> str:
-        lines = [f"duality symmetry at n={dim}: " + ("holds" if report.holds else "FAILS")]
-        for v in report.violations:
-            lines.append(
-                f"  {v.part} {v.key} has multiplicity {v.count} but mirror "
-                f"{v.mirror} has {v.mirror_count}"
-            )
-        return "\n".join(lines)
-
-    return report.to_json_dict(), table, 0 if report.holds else 1
+    return report.to_json_dict(), lambda: [
+        f"duality symmetry at n={dim}: " + ("holds" if report.holds else "FAILS"),
+        *(
+            f"  {v.part} {v.key} has multiplicity {v.count} but mirror "
+            f"{v.mirror} has {v.mirror_count}"
+            for v in report.violations
+        ),
+    ], 0 if report.holds else 1
 
 
 def _validate(args, entry, module):
@@ -236,18 +238,13 @@ def _validate(args, entry, module):
     fixed_point = _flag_or_entry(args.fixed_point, entry, "has_fixed_point")
     connected = _flag_or_entry(args.connected, entry, "connected")
     report = real_manifold_validate(module, dim, fixed_point, connected)
-
-    def table() -> str:
-        lines = [
-            f"real-manifold restrictions at n={dim}: "
-            + ("all pass" if report.passed else "FAIL")
-        ]
-        for failure in report.failures:
-            keys = ", ".join(str(k) for k in failure.keys) or "-"
-            lines.append(f"  {failure.condition} [{keys}]: {failure.detail}")
-        return "\n".join(lines)
-
-    return report.to_json_dict(), table, 0 if report.passed else 1
+    return report.to_json_dict(), lambda: [
+        f"real-manifold restrictions at n={dim}: " + ("all pass" if report.passed else "FAIL"),
+        *(
+            f"  {f.condition} [{', '.join(str(k) for k in f.keys) or '-'}]: {f.detail}"
+            for f in report.failures
+        ),
+    ], 0 if report.passed else 1
 
 
 def _hodge(args, entry, module):
@@ -264,39 +261,95 @@ def _hodge(args, entry, module):
         torsion_free = True
     expressive = hodge_expressive_check(module, hodge, torsion_free)
     birank = hodge_birank_check(module, hodge)
-    return (
-        {"expressive": expressive, "birank": birank},
-        lambda: f"H(u,v) = {hodge}\n"
-        f"hodge-expressive: {'yes' if expressive else 'no'}\n"
+    return {"expressive": expressive, "birank": birank}, lambda: [
+        f"H(u,v) = {hodge}",
+        f"hodge-expressive: {'yes' if expressive else 'no'}",
         f"rank-level match: {'yes' if birank else 'no'}",
-        0,
-    )
+    ], 0
 
+
+def _solve(args, constraints):
+    return tuple(enumerate_decompositions(constraints)), None, 0
+
+
+def _predict(args, constraints):
+    payload = {
+        "krasnov": krasnov_predict(constraints).to_json_dict(),
+        "threefold": threefold_predict(constraints).to_json_dict(),
+    }
+    return payload, lambda: [
+        f"{name}: " + ("predicts GM" if info["applicable"] else "not applicable")
+        for name, info in payload.items()
+    ], 0
+
+
+def _module_arguments(parser: argparse.ArgumentParser) -> None:
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--catalog", metavar="NAME")
+    source.add_argument("--module", metavar="FILE")
+    parser.add_argument("--param", metavar="K=V", action="append", default=[],
+                        help="catalog parameter, repeatable")
+
+
+def _load_module(args) -> tuple:
+    """(entry, module); the entry is None for a module file."""
+    if args.catalog:
+        entry = catalog_get(args.catalog, **_parse_params(args.param))
+        return entry, entry.module
+    if args.param:
+        raise SchemaError("param", "--param is only valid with --catalog")
+    return None, NormalFormModule.from_json_dict(load_json_file(args.module))
+
+
+# input kind -> (add its arguments to a parser, load it from parsed arguments)
+_INPUTS = {
+    "module": (_module_arguments, _load_module),
+    "constraints": (
+        lambda parser: parser.add_argument("--constraints", metavar="FILE", required=True),
+        lambda args: (ConstraintSet.from_json_dict(load_json_file(args.constraints)),),
+    ),
+    "nothing": (lambda parser: None, lambda args: ()),
+}
 
 _DIM = ("--dim", {"type": int, "metavar": "N", "default": None})
 _HODGE = ("--hodge", {"metavar": "FILE", "help": "Hodge polynomial as [[p,q,c],...]"})
-_FORMAT = {"choices": ("table", "json"), "default": "table"}
+_FORMAT = ("--format", {"choices": ("table", "json"), "default": "table"})
 # a --x/--no-x flag, None when not given
 _FLAG = {"action": argparse.BooleanOptionalAction, "default": None}
 
-# verb -> (help, handler, extra arguments as (option, add_argument keywords));
-# every module verb also takes --catalog/--module, --param and --format
+# verb -> (help, input kind, handler, its own arguments as (option,
+# add_argument keywords)); ``solve`` has no --format and prints JSON
 _VERBS = {
-    "show": ("print a module (rank lattice or canonical JSON)", _show, ()),
-    "classify": ("Maximal / Galois-Maximal / neither", _classify, ()),
-    "report": ("classification, totals ledger and all localizations", _report, ()),
-    "fixed": ("Betti numbers of the fixed locus", _fixed, ()),
-    "borel": ("Borel cohomology as an F2[z]-module", _borel, ()),
-    "singular": ("underlying singular cohomology with involution", _singular, ()),
-    "image": ("dimensions of the forgetful image", _image, ()),
-    "rankpoly": ("bigraded rank polynomial", _rankpoly, ()),
-    "pd-check": ("check the duality mirror symmetries", _pd_check, (_DIM,)),
+    "catalog": ("list built-in families", "nothing", _catalog, (_FORMAT,)),
+    "show": ("print a module (rank lattice or canonical JSON)", "module", _show, (_FORMAT,)),
+    "classify": ("Maximal / Galois-Maximal / neither", "module", _classify, (_FORMAT,)),
+    "report": (
+        "classification, totals ledger and all localizations", "module", _report, (_FORMAT,)
+    ),
+    "fixed": ("Betti numbers of the fixed locus", "module", _fixed, (_FORMAT,)),
+    "borel": ("Borel cohomology as an F2[z]-module", "module", _borel, (_FORMAT,)),
+    "singular": (
+        "underlying singular cohomology with involution", "module", _singular, (_FORMAT,)
+    ),
+    "image": ("dimensions of the forgetful image", "module", _image, (_FORMAT,)),
+    "rankpoly": ("bigraded rank polynomial", "module", _rankpoly, (_FORMAT,)),
+    "pd-check": (
+        "check the duality mirror symmetries", "module", _pd_check, (_FORMAT, _DIM)
+    ),
     "validate": (
         "check all compact-Real-manifold restrictions",
+        "module",
         _validate,
-        (_DIM, ("--fixed-point", _FLAG), ("--connected", _FLAG)),
+        (_FORMAT, _DIM, ("--fixed-point", _FLAG), ("--connected", _FLAG)),
     ),
-    "hodge": ("Hodge-expressivity checks", _hodge, (_HODGE, ("--torsion-free", _FLAG))),
+    "hodge": (
+        "Hodge-expressivity checks",
+        "module",
+        _hodge,
+        (_FORMAT, _HODGE, ("--torsion-free", _FLAG)),
+    ),
+    "solve": ("enumerate decompositions for constraints", "constraints", _solve, ()),
+    "predict": ("apply the GM sufficiency criteria", "constraints", _predict, (_FORMAT,)),
 }
 
 
@@ -307,86 +360,25 @@ def build_parser() -> argparse.ArgumentParser:
         "cohomology with mod-2 coefficients.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("catalog", help="list built-in families")
-    p.add_argument("--format", **_FORMAT)
-
-    for verb, (description, _, extras) in _VERBS.items():
+    for verb, (description, source, _, arguments) in _VERBS.items():
         p = sub.add_parser(verb, help=description)
-        source = p.add_mutually_exclusive_group(required=True)
-        source.add_argument("--catalog", metavar="NAME")
-        source.add_argument("--module", metavar="FILE")
-        p.add_argument(
-            "--param",
-            metavar="K=V",
-            action="append",
-            default=[],
-            help="catalog parameter, repeatable",
-        )
-        p.add_argument("--format", **_FORMAT)
-        for option, keywords in extras:
+        _INPUTS[source][0](p)
+        for option, keywords in arguments:
             p.add_argument(option, **keywords)
-
-    p = sub.add_parser("solve", help="enumerate decompositions for constraints")
-    p.add_argument("--constraints", metavar="FILE", required=True)
-    p = sub.add_parser("predict", help="apply the GM sufficiency criteria")
-    p.add_argument("--constraints", metavar="FILE", required=True)
-    p.add_argument("--format", **_FORMAT)
-
     return parser
 
 
 def _run(args) -> int:
-    verb = args.verb
-
-    if verb == "catalog":
-        listing = catalog_list()
-        _emit(
-            args,
-            listing,
-            lambda: "\n".join(
-                entry["name"]
-                + (
-                    " (" + ", ".join(p["name"] for p in entry["parameters"]) + ")"
-                    if entry["parameters"]
-                    else ""
-                )
-                for entry in listing
-            ),
-        )
-        return 0
-
-    if verb in ("solve", "predict"):
-        constraints = ConstraintSet.from_json_dict(load_json_file(args.constraints))
-        if verb == "solve":
-            for module in enumerate_decompositions(constraints):
-                print(module.to_json_text())
-            return 0
-        payload = {
-            "krasnov": krasnov_predict(constraints).to_json_dict(),
-            "threefold": threefold_predict(constraints).to_json_dict(),
-        }
-        _emit(
-            args,
-            payload,
-            lambda: "\n".join(
-                f"{name}: "
-                + ("predicts GM" if info["applicable"] else "not applicable")
-                for name, info in payload.items()
-            ),
-        )
-        return 0
-
-    if args.catalog:
-        entry = catalog_get(args.catalog, **_parse_params(args.param))
-        module = entry.module
-    elif args.param:
-        raise SchemaError("param", "--param is only valid with --catalog")
+    _, source, handler, _ = _VERBS[args.verb]
+    payload, table, code = handler(args, *_INPUTS[source][1](args))
+    if getattr(args, "format", "json") == "table":
+        lines = table()
+    elif isinstance(payload, tuple):
+        lines = map(NormalFormModule.to_json_text, payload)
     else:
-        entry = None
-        module = NormalFormModule.from_json_dict(load_json_file(args.module))
-    payload, table, code = _VERBS[verb][1](args, entry, module)
-    _emit(args, payload, table)
+        lines = [canonical_dumps(payload)]
+    for line in lines:
+        print(line)
     return code
 
 

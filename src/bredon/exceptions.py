@@ -68,7 +68,9 @@ class InternalInconsistency(BredonError):
 
 
 class InfeasibleBounds(BredonError):
-    """Constraint data lies outside the feasible degree window."""
+    """Input lies outside a documented bound: constraint data outside the
+    feasible degree window, or a rank lattice with more cells than a table
+    prints."""
 
     code = "INFEASIBLE_BOUNDS"
 

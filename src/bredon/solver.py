@@ -102,7 +102,9 @@ class ConstraintSet:
 
     ``betti_total`` are the mod-2 Betti numbers of the ambient space and
     ``betti_fixed``, when given, those of the fixed locus; support of either
-    outside degrees 0..2n raises :class:`InfeasibleBounds`.
+    outside degrees 0..2n raises :class:`InfeasibleBounds`.  When
+    ``betti_fixed`` is given, ``has_fixed_point`` must say whether its total
+    is positive, else :class:`ConstraintViolation`.
     ``poincare_dual`` asserts the compact-Real-manifold mirror symmetries;
     without it the search answers only within its key box (module
     docstring).  ``forgetful_onto_degrees`` lists degrees where restriction
@@ -130,14 +132,6 @@ class ConstraintSet:
                 "a connected space has degree-0 Betti number 1, got "
                 f"{self.betti_total.get(0)}"
             )
-        if (
-            self.has_fixed_point
-            and self.betti_fixed is not None
-            and self.betti_fixed.total() == 0
-        ):
-            raise ConstraintViolation(
-                "a nonempty fixed locus has positive total Betti number"
-            )
         top = 2 * self.dimension
         for name, dims in (("betti_total", self.betti_total), ("betti_fixed", self.betti_fixed)):
             for d, v in dims.items() if dims is not None else ():
@@ -145,6 +139,13 @@ class ConstraintSet:
                     raise InfeasibleBounds(
                         f"{name} has dimension {v} in degree {d}, outside [0, {top}]"
                     )
+        fixed = self.betti_fixed
+        if fixed is not None and self.has_fixed_point != (fixed.total() > 0):
+            raise ConstraintViolation(
+                f"has_fixed_point is {self.has_fixed_point} but betti_fixed totals "
+                f"{fixed.total()}: a fixed locus is nonempty exactly when its total "
+                "Betti number is positive"
+            )
 
     def to_json_dict(self) -> dict:
         fixed = self.betti_fixed

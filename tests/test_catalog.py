@@ -11,6 +11,8 @@ from bredon import (
     make_module,
     pd_symmetric,
     real_manifold_validate,
+    rho_localize,
+    underlying_singular,
 )
 
 M = MaximalityClass.MAXIMAL
@@ -79,6 +81,19 @@ def test_real_manifold_entries_validate():
             entry.module, entry.dimension, entry.has_fixed_point, entry.connected
         )
         assert report.passed, (entry.name, entry.parameters, report.failures)
+
+
+def test_flags_are_read_off_the_module():
+    """An entry's fixed-point and connectedness flags are what its module
+    says: a nonempty rho-localization, and singular b0 = 1."""
+    for entry in all_small_entries():
+        assert entry.has_fixed_point == (rho_localize(entry.module).total() > 0), entry.name
+        assert entry.connected == (underlying_singular(entry.module).dims().get(0) == 1)
+    assert not catalog_get("severi_brauer_odd", k=1).has_fixed_point
+    assert catalog_get("severi_brauer_odd", k=1).connected
+    # S^{0,0} is two points
+    assert not catalog_get("representation_sphere", p=0, q=0).connected
+    assert catalog_get("representation_sphere", p=1, q=0).connected
 
 
 def test_twisted_plane_fails_duality():
@@ -194,7 +209,5 @@ def test_cubic_entry_flags_suspect_polynomial():
         c for i, j, c in entry.hodge_polynomial.terms if i + j == 3
     )
     assert degree3_total == 12  # contradicts the middle Betti number below
-    from bredon import underlying_singular
-
     assert underlying_singular(entry.module).dims().get(3) == 10
     assert "suspect" in entry.notes

@@ -7,13 +7,15 @@ from bredon import (
     BredonError,
     ConstraintSet,
     GradedDims,
+    InfeasibleBounds,
     SchemaError,
     catalog_get,
     enumerate_decompositions,
+    make_module,
     pd_symmetric,
     real_manifold_validate,
 )
-from bredon.cli import main
+from bredon.cli import main, render_rank_lattice
 from bredon.serialize import canonical_dumps
 
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -415,6 +417,13 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
         code, out, err = run(capsys, "predict", "--constraints", str(infeasible))
         assert code == 2 and out == "" and "INFEASIBLE_BOUNDS" in err
 
+    # a fixed-point flag that the fixed-locus list contradicts
+    k3 = json.loads((DEMO_DATA / "k3_s2s2.json").read_text())
+    infeasible.write_text(json.dumps(dict(k3, has_fixed_point=False)))
+    for verb in ("solve", "predict"):
+        code, out, err = run(capsys, verb, "--constraints", str(infeasible))
+        assert code == 2 and out == "" and err.startswith("error[CONSTRAINT_VIOLATION]: ")
+
     missing_field = tmp_path / "missing.json"
     missing_field.write_text('{"n": 2}')
     code, _, err = run(capsys, "predict", "--constraints", str(missing_field))
@@ -433,6 +442,24 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     module_file.write_text('{"free":[[0,0,1]],"antipodal":[]}')
     code, _, err = run(capsys, "pd-check", "--module", str(module_file))
     assert code == 2 and "SCHEMA_ERROR" in err and "dim" in err
+
+
+def test_rank_lattice_table_is_bounded(tmp_path, capsys):
+    # 256 x 256 cells is the bound, 256 x 257 one row more
+    assert render_rank_lattice(make_module([(0, 0, 1), (255, 255, 1)])).startswith("q=255 |")
+    with pytest.raises(InfeasibleBounds):
+        render_rank_lattice(make_module([(0, 0, 1), (256, 255, 1)]))
+    module = {"free": [[0, 0, 1], [3000, 3000, 1]], "antipodal": []}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(module))
+    assert run(capsys, "show", "--module", str(path)) == (
+        2,
+        "",
+        "error[INFEASIBLE_BOUNDS]: the rank lattice has 3001 x 3001 = 9006001 cells, "
+        "more than 65536; print the module with --format json\n",
+    )
+    code, out, err = run(capsys, "show", "--module", str(path), "--format", "json")
+    assert (code, json.loads(out), err) == (0, module, "")
 
 
 @pytest.mark.parametrize("argv, message", [

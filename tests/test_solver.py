@@ -15,7 +15,9 @@ from bredon import (
     catalog_get,
     classify,
     enumerate_decompositions,
+    forgetful_image_dims,
     krasnov_predict,
+    real_manifold_validate,
     rho_localize,
     satisfies_constraints,
     threefold_predict,
@@ -25,7 +27,7 @@ from bredon import solver
 from bredon.serialize import canonical_dumps
 from bredon.solver import _orbit_plan
 
-from bruteforce import brute_force_decompositions
+from bruteforce import brute_force_decompositions, naive_fiber
 
 M = MaximalityClass.MAXIMAL
 GM = MaximalityClass.GALOIS_MAXIMAL_ONLY
@@ -94,6 +96,7 @@ def _random_constraints(rng):
         betti_fixed = [rng.randint(0, 2) for _ in range(n + 1)]
         if has_fixed and sum(betti_fixed) == 0:
             betti_fixed[0] = 1
+        has_fixed = sum(betti_fixed) > 0  # the fixed list decides the flag
         betti_fixed = GradedDims.from_list(betti_fixed)
     forgetful = None
     if rng.random() < 0.3:
@@ -131,7 +134,8 @@ def _box_constraints(boxes=((1, 3), (2, 2)), fixed_lists=(None,)):
     For each ``(n, entry cap)`` box: Betti entries up to the cap with total
     1..4; every fixed-locus Betti list of ``fixed_lists``; every duality and
     fixed-point flag, connectedness whenever b0 = 1; every class filter.
-    Sets that ``ConstraintSet`` rejects are skipped.
+    Sets that ``ConstraintSet`` rejects are skipped, among them every
+    fixed-point flag that its fixed-locus list contradicts.
     """
     for n, entry_cap in boxes:
         for betti in itertools.product(range(entry_cap + 1), repeat=2 * n + 1):
@@ -175,10 +179,11 @@ def test_exhaustive_box_against_brute_force():
 
 
 def test_exhaustive_fixed_box_against_brute_force():
-    """n = 1 with every fixed-locus Betti list [a, b], a, b <= 2."""
+    """n = 1 with every fixed-locus Betti list [a, b], a, b <= 2, and the
+    fixed-point flag that list decides."""
     fixed_lists = list(itertools.product(range(3), repeat=2))
     sets = _box_constraints(boxes=((1, 3),), fixed_lists=fixed_lists)
-    assert _sweep_against_brute_force(sets) == (5576, 470)
+    assert _sweep_against_brute_force(sets) == (2952, 202)
 
 
 def _count_candidates(monkeypatch):
@@ -213,8 +218,8 @@ def test_every_candidate_passes(monkeypatch):
         assert len(enumerate_decompositions(cs)) == len(made), cs.to_json_dict()
         candidates[cs.class_filter] += len(made)
         checked += 1
-    assert checked == 8248
-    assert candidates[GM] == 747 and candidates[NEITHER] == 1869
+    assert checked == 5624
+    assert candidates[GM] == 700 and candidates[NEITHER] == 1802
 
 
 def test_neither_filter_builds_only_accepted_modules(monkeypatch):
@@ -305,6 +310,54 @@ def test_soundness_of_returned_modules():
                 assert rho_localize(m) == cs.betti_fixed
             checked += 1
     assert checked > 0
+
+
+def _failed_conditions(cs, module):
+    """The conditions of ``cs`` that ``module`` fails, in the order the
+    re-check tests them, each decided here through the public operations."""
+    n = cs.dimension
+    image = forgetful_image_dims(module)
+    passed = {
+        "betti": underlying_singular(module).dims() == cs.betti_total,
+        "fixed": rho_localize(module) == cs.betti_fixed,
+        "manifold": real_manifold_validate(
+            module, n, cs.has_fixed_point, cs.connected
+        ).passed,
+        "forgetful": all(
+            image.get(d) == cs.betti_total.get(d) for d in cs.forgetful_onto_degrees
+        ),
+        "class": classify(module) is cs.class_filter,
+    }
+    return [condition for condition, ok in passed.items() if not ok]
+
+
+@pytest.mark.parametrize("condition, n, betti, fixed, onto, klass, fiber", [
+    ("betti", 2, [1, 0, 4, 0, 1], [2, 0, 2], 2, GM, [1, 0, 6, 0, 1]),
+    ("fixed", 2, [1, 0, 2, 0, 1], [1, 0, 1], 2, M, [1, 0, 2, 0, 1]),
+    ("manifold", 1, [1, 1, 1], [1, 2], 1, M, [1, 1, 1]),
+    ("forgetful", 2, [1, 0, 2, 0, 1], [1, 0, 1], 2, GM, [1, 0, 2, 0, 1]),
+    ("class", 2, [1, 0, 2, 0, 1], [1, 0, 1], 0, M, [1, 0, 2, 0, 1]),
+], ids=["betti", "fixed", "manifold", "forgetful", "class"])
+def test_recheck_rejects_each_failed_condition(condition, n, betti, fixed, onto, klass, fiber):
+    """Every condition of the re-check can reject on its own: a module of the
+    oracle's fiber that meets every other condition of the set, all of them
+    given, and fails this one is refused."""
+    cs = ConstraintSet(
+        dimension=n,
+        betti_total=GradedDims.from_list(betti),
+        betti_fixed=GradedDims.from_list(fixed),
+        has_fixed_point=True,
+        connected=True,
+        poincare_dual=True,
+        forgetful_onto_degrees=frozenset({onto}),
+        class_filter=klass,
+    )
+    modules = naive_fiber(n, fiber, True)
+    module = next(m for m in modules if _failed_conditions(cs, m) == [condition])
+    assert not satisfies_constraints(cs, module)
+    # over the whole fiber it accepts exactly the modules that fail nothing
+    for m in modules:
+        assert satisfies_constraints(cs, m) == (not _failed_conditions(cs, m)), str(m)
 
 
 def test_one_singular_computation_per_candidate(monkeypatch):
@@ -516,6 +569,19 @@ def test_constraint_set_invariants():
         )
     with pytest.raises(ConstraintViolation):
         ConstraintSet(dimension=-1, betti_total=GradedDims.from_list([1]))
+    # the K3 data with a nonempty fixed locus but without the fixed-point flag
+    with pytest.raises(ConstraintViolation) as info:
+        ConstraintSet(
+            dimension=2,
+            betti_total=GradedDims.from_list([1, 0, 22, 0, 1]),
+            betti_fixed=GradedDims.from_list([2, 0, 2]),
+            connected=True,
+            poincare_dual=True,
+        )
+    assert str(info.value) == (
+        "has_fixed_point is False but betti_fixed totals 4: a fixed locus is "
+        "nonempty exactly when its total Betti number is positive"
+    )
 
 
 def test_json_round_trip():
@@ -546,7 +612,8 @@ def test_k3_constraints_json():
 def test_betti_fixed_json_length(betti_fixed, written):
     # The fixed list runs to degree max(n, top of its support), so an
     # empty fixed locus (a free involution) is written as n + 1 zeros.
-    data = {"n": 1, "betti_total": [2, 0, 0], "betti_fixed": betti_fixed}
+    data = {"n": 1, "betti_total": [2, 0, 0], "betti_fixed": betti_fixed,
+            "has_fixed_point": sum(betti_fixed) > 0}
     cs = ConstraintSet.from_json_dict(data)
     assert cs.to_json_dict()["betti_fixed"] == written
     assert ConstraintSet.from_json_dict(cs.to_json_dict()) == cs
