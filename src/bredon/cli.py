@@ -91,11 +91,10 @@ def render_rank_lattice(module: NormalFormModule) -> str:
     if module.free:
         max_p = max(p for p, _, _ in module.free)
         max_q = max(q for _, q, _ in module.free)
-        size = (max_q + 1) * (max_p + 1)
-        if size > _MAX_LATTICE_CELLS:
+        if (max_q + 1) * (max_p + 1) > _MAX_LATTICE_CELLS:
             raise InfeasibleBounds(
-                f"the rank lattice has {max_q + 1} x {max_p + 1} = {size} cells, "
-                f"more than {_MAX_LATTICE_CELLS}; print the module with --format json"
+                f"the rank lattice has {max_q + 1} x {max_p + 1} cells, more than "
+                f"{_MAX_LATTICE_CELLS}; print the module with --format json"
             )
         ranks = module.free_map()
         width = max(len(str(m)) for _, _, m in module.free)
@@ -223,14 +222,17 @@ def _rankpoly(args, entry, module):
 def _pd_check(args, entry, module):
     dim = _resolve_dim(args, entry)
     report = pd_symmetric(module, dim)
-    return report.to_json_dict(), lambda: [
-        f"duality symmetry at n={dim}: " + ("holds" if report.holds else "FAILS"),
-        *(
-            f"  {v.part} {v.key} has multiplicity {v.count} but mirror "
-            f"{v.mirror} has {v.mirror_count}"
-            for v in report.violations
-        ),
-    ], 0 if report.holds else 1
+
+    def table() -> list[str]:
+        lines = [f"duality symmetry at n={dim}: " + ("holds" if report.holds else "FAILS")]
+        for v in report.violations:
+            lines.append(
+                f"  {v.part} {v.key} has multiplicity {v.count} but mirror "
+                f"{v.mirror} has {v.mirror_count}"
+            )
+        return lines
+
+    return report.to_json_dict(), table, 0 if report.holds else 1
 
 
 def _validate(args, entry, module):
@@ -238,13 +240,18 @@ def _validate(args, entry, module):
     fixed_point = _flag_or_entry(args.fixed_point, entry, "has_fixed_point")
     connected = _flag_or_entry(args.connected, entry, "connected")
     report = real_manifold_validate(module, dim, fixed_point, connected)
-    return report.to_json_dict(), lambda: [
-        f"real-manifold restrictions at n={dim}: " + ("all pass" if report.passed else "FAIL"),
-        *(
-            f"  {f.condition} [{', '.join(str(k) for k in f.keys) or '-'}]: {f.detail}"
-            for f in report.failures
-        ),
-    ], 0 if report.passed else 1
+
+    def table() -> list[str]:
+        lines = [
+            f"real-manifold restrictions at n={dim}: "
+            + ("all pass" if report.passed else "FAIL")
+        ]
+        for failure in report.failures:
+            keys = ", ".join(str(k) for k in failure.keys) or "-"
+            lines.append(f"  {failure.condition} [{keys}]: {failure.detail}")
+        return lines
+
+    return report.to_json_dict(), table, 0 if report.passed else 1
 
 
 def _hodge(args, entry, module):
@@ -287,8 +294,13 @@ def _module_arguments(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--catalog", metavar="NAME")
     source.add_argument("--module", metavar="FILE")
-    parser.add_argument("--param", metavar="K=V", action="append", default=[],
-                        help="catalog parameter, repeatable")
+    parser.add_argument(
+        "--param",
+        metavar="K=V",
+        action="append",
+        default=[],
+        help="catalog parameter, repeatable",
+    )
 
 
 def _load_module(args) -> tuple:
@@ -333,9 +345,7 @@ _VERBS = {
     ),
     "image": ("dimensions of the forgetful image", "module", _image, (_FORMAT,)),
     "rankpoly": ("bigraded rank polynomial", "module", _rankpoly, (_FORMAT,)),
-    "pd-check": (
-        "check the duality mirror symmetries", "module", _pd_check, (_FORMAT, _DIM)
-    ),
+    "pd-check": ("check the duality mirror symmetries", "module", _pd_check, (_FORMAT, _DIM)),
     "validate": (
         "check all compact-Real-manifold restrictions",
         "module",
