@@ -54,7 +54,8 @@ def _main(argv: list[str]) -> tuple[int, str]:
 
 def outputs() -> dict:
     """``"verb entry format"`` and ``"[verb] --help"`` -> ``{"code", "stdout"}``
-    for every case.  Help text is rendered 80 columns wide."""
+    for every case.  Help text is rendered 200 columns wide, where argparse
+    wraps no usage line and Pythons 3.10 to 3.13 print the same bytes."""
     recorded = {}
     for verb in VERBS:
         for label, source in ENTRIES.items():
@@ -72,7 +73,7 @@ def outputs() -> dict:
             code, out = _main(["predict", *constraints, "--format", fmt])
             recorded[f"predict {name} {fmt}"] = {"code": code, "stdout": out}
     columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
+    os.environ["COLUMNS"] = "200"
     try:
         for verb in HELP:
             code, out = _main([*verb, "--help"])
