@@ -264,6 +264,18 @@ def test_json_round_trip():
     assert canonical_dumps(again.to_json_dict()) == text
 
 
+@pytest.mark.parametrize("kind, a, b, message", [
+    ("mixed", 0, 0, "unknown element kind 'mixed'"),
+    ("pos", -1, 0, "exponents must be nonnegative"),
+    ("neg", 0, -2, "exponents must be nonnegative"),
+    ("zero", 1, 0, "zero carries no exponents"),
+])
+def test_m2_element_guards(kind, a, b, message):
+    with pytest.raises(ValueError) as info:
+        M2Element(kind, a, b)
+    assert str(info.value) == message
+
+
 def test_json_schema_errors():
     with pytest.raises(SchemaError):
         NormalFormModule.from_json_dict([1, 2, 3])

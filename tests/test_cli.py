@@ -367,6 +367,23 @@ def test_module_file_input(tmp_path, capsys):
     assert code == 0 and out.strip() == "NEITHER"
 
 
+def test_unreadable_inputs_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    no_n = tmp_path / "no_n.json"
+    no_n.write_text('{"betti_total": [1]}')
+    for argv, err_want in [
+        (("solve", "--constraints", str(missing)),
+         f"error[PARSE_ERROR]: {missing}: No such file or directory\n"),
+        (("show", "--module", str(tmp_path)),
+         f"error[PARSE_ERROR]: {tmp_path}: Is a directory\n"),
+        (("solve", "--constraints", str(no_n)),
+         "error[SCHEMA_ERROR]: constraints.n: missing required field\n"),
+        (("show", "--catalog", "severi_brauer_odd", "--param", "k=-1"),
+         "error[PARAMETER_RANGE]: severi_brauer_odd needs k >= 0, got -1\n"),
+    ]:
+        assert run(capsys, *argv) == (2, "", err_want), argv
+
+
 def test_module_file_unknown_field_exits_2(tmp_path, capsys):
     typo = tmp_path / "typo.json"
     typo.write_text('{"free": [[0,0,1],[2,1,1]], "antipodel": [[1,0,3]]}')

@@ -645,12 +645,39 @@ def _k3_json(**changes):
      "expected an integer"),
     (_k3_json(has_fixed_point="yes"), "constraints.has_fixed_point", "expected a boolean"),
     (_k3_json(n="2", betti_total="x"), "constraints.n", "expected a nonnegative integer"),
+    ({"betti_total": [1]}, "constraints.n", "missing required field"),
+    (_k3_json(betti_total={"0": 1}), "constraints.betti_total", "expected a list"),
+    (_k3_json(betti_total=[1, 0, 22, 0, -1]), "constraints.betti_total[4]",
+     "expected a nonnegative integer"),
+    (_k3_json(betti_fixed="2,0,2"), "constraints.betti_fixed", "expected a list"),
+    (_k3_json(betti_fixed=[2, 0, True]), "constraints.betti_fixed[2]",
+     "expected a nonnegative integer"),
+    (_k3_json(poincare_dual=1), "constraints.poincare_dual", "expected a boolean"),
+    (_k3_json(connected="true"), "constraints.connected", "expected a boolean"),
+    (_k3_json(has_fixed_point=0), "constraints.has_fixed_point", "expected a boolean"),
+    (_k3_json(forgetful_onto_degrees=4), "constraints.forgetful_onto_degrees",
+     "expected a list"),
+    (_k3_json(forgetful_onto_degrees=[True]), "constraints.forgetful_onto_degrees[0]",
+     "expected an integer"),
+    (_k3_json(class_filter=["GM"]), "constraints.class_filter", "expected a string"),
+    (_k3_json(class_filter="gm"), "constraints.class_filter", "unknown class code 'gm'"),
 ])
 def test_invalid_constraint_files(data, field, message):
     with pytest.raises(SchemaError) as info:
         ConstraintSet.from_json_dict(data)
     assert info.value.field == field
     assert str(info.value) == f"{field}: {message}"
+
+
+def test_null_leaves_each_optional_field_at_its_default():
+    data = {"n": 2, "betti_total": [1, 0, 22, 0, 1], "betti_fixed": None,
+            "has_fixed_point": None, "connected": None, "poincare_dual": None,
+            "forgetful_onto_degrees": None, "class_filter": None}
+    bare = ConstraintSet(dimension=2, betti_total=GradedDims.from_list([1, 0, 22, 0, 1]))
+    assert ConstraintSet.from_json_dict(data) == bare
+    assert ConstraintSet.from_json_dict({"n": 2, "betti_total": [1, 0, 22, 0, 1]}) == bare
+    assert bare.to_json_dict() == dict(data, has_fixed_point=False, connected=False,
+                                       poincare_dual=False)
 
 
 def test_predictors():
@@ -673,6 +700,10 @@ def test_predictors():
     assert threefold_predict(cubic).applicable
     assert not threefold_predict(cubic_constraints(forgetful=False)).applicable
     assert not threefold_predict(k3).applicable
+    # a criterion that does not apply predicts nothing and rules out no class
+    silent = krasnov_predict(bumpy)
+    assert silent.prediction is None
+    assert all(silent.admits(klass) for klass in (M, GM, NEITHER))
 
 
 def test_theorem_conformance_small():
