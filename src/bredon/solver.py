@@ -67,7 +67,7 @@ depend on exploration order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from math import gcd
 
@@ -92,8 +92,36 @@ __all__ = [
 ]
 
 
-_CONSTRAINT_KEYS = ("n", "betti_total", "betti_fixed", "has_fixed_point", "connected",
-                    "poincare_dual", "forgetful_onto_degrees", "class_filter")
+def _betti_list(value, at: str) -> GradedDims:
+    """The dimensions of a dense list of nonnegative integers, else SchemaError."""
+    expect(value, list, at)
+    for i, entry in enumerate(value):
+        expect(entry, int, f"{at}[{i}]", "a nonnegative integer", minimum=0)
+    return GradedDims.from_list(value)
+
+
+def _degrees(value, at: str) -> frozenset[int]:
+    expect(value, list, at)
+    return frozenset(expect(d, int, f"{at}[{i}]") for i, d in enumerate(value))
+
+
+def _class_code(value, at: str) -> MaximalityClass:
+    expect(value, str, at)
+    try:
+        return MaximalityClass(value)
+    except ValueError:
+        raise SchemaError(at, f"unknown class code {value!r}") from None
+
+
+def _flag(value, at: str) -> bool:
+    return expect(value, bool, at)
+
+
+def _field(key: str, read, write=lambda cs, value: value, **default):
+    """A constraint field stored under the JSON ``key``.  ``read(value, at)``
+    parses a JSON value, raising SchemaError naming ``at``; ``write(cs,
+    value)`` gives the JSON of a value that is not None."""
+    return field(metadata={"key": key, "read": read, "write": write}, **default)
 
 
 @dataclass(frozen=True)
@@ -108,17 +136,34 @@ class ConstraintSet:
     ``poincare_dual`` asserts the compact-Real-manifold mirror symmetries;
     without it the search answers only within its key box (module
     docstring).  ``forgetful_onto_degrees`` lists degrees where restriction
-    to singular cohomology must be surjective.
+    to singular cohomology must be surjective; one outside 0..2n raises
+    :class:`InfeasibleBounds`.
+
+    Each field is declared once, with its JSON key, reader and writer, and
+    the file format is read and written by looping over the fields: a key
+    is required exactly when its field has no default, and an absent or
+    null optional key leaves the default.
     """
 
-    dimension: int
-    betti_total: GradedDims
-    betti_fixed: GradedDims | None = None
-    has_fixed_point: bool = False
-    connected: bool = False
-    poincare_dual: bool = False
-    forgetful_onto_degrees: frozenset[int] | None = None
-    class_filter: MaximalityClass | None = None
+    dimension: int = _field(
+        "n", lambda value, at: expect(value, int, at, "a nonnegative integer", minimum=0)
+    )
+    betti_total: GradedDims = _field(
+        "betti_total", _betti_list, lambda cs, dims: dims.to_list(2 * cs.dimension)
+    )
+    betti_fixed: GradedDims | None = _field(
+        "betti_fixed", _betti_list,
+        lambda cs, dims: dims.to_list(max((cs.dimension, *dims.support()))), default=None,
+    )
+    has_fixed_point: bool = _field("has_fixed_point", _flag, default=False)
+    connected: bool = _field("connected", _flag, default=False)
+    poincare_dual: bool = _field("poincare_dual", _flag, default=False)
+    forgetful_onto_degrees: frozenset[int] | None = _field(
+        "forgetful_onto_degrees", _degrees, lambda cs, degrees: sorted(degrees), default=None
+    )
+    class_filter: MaximalityClass | None = _field(
+        "class_filter", _class_code, lambda cs, klass: klass.value, default=None
+    )
 
     def __post_init__(self):
         if self.dimension < 0:
@@ -139,6 +184,11 @@ class ConstraintSet:
                     raise InfeasibleBounds(
                         f"{name} has dimension {v} in degree {d}, outside [0, {top}]"
                     )
+        for d in sorted(self.forgetful_onto_degrees or ()):
+            if d < 0 or d > top:
+                raise InfeasibleBounds(
+                    f"forgetful_onto_degrees names degree {d}, outside [0, {top}]"
+                )
         fixed = self.betti_fixed
         if fixed is not None and self.has_fixed_point != (fixed.total() > 0):
             raise ConstraintViolation(
@@ -148,72 +198,23 @@ class ConstraintSet:
             )
 
     def to_json_dict(self) -> dict:
-        fixed = self.betti_fixed
-        if fixed is not None:
-            fixed = fixed.to_list(max((self.dimension, *fixed.support())))
-        return {
-            "n": self.dimension,
-            "betti_total": self.betti_total.to_list(2 * self.dimension),
-            "betti_fixed": fixed,
-            "has_fixed_point": self.has_fixed_point,
-            "connected": self.connected,
-            "poincare_dual": self.poincare_dual,
-            "forgetful_onto_degrees": (
-                sorted(self.forgetful_onto_degrees)
-                if self.forgetful_onto_degrees is not None
-                else None
-            ),
-            "class_filter": self.class_filter.value if self.class_filter else None,
-        }
+        return {f.metadata["key"]: None if (value := getattr(self, f.name)) is None
+                else f.metadata["write"](self, value) for f in fields(self)}
 
     @staticmethod
     def from_json_dict(data) -> "ConstraintSet":
-        field = "constraints"
-        expect(data, dict, field)
-        known_fields(data, _CONSTRAINT_KEYS, field)
-        if "n" not in data:
-            raise SchemaError(f"{field}.n", "missing required field")
-        n = expect(data["n"], int, f"{field}.n", "a nonnegative integer", minimum=0)
-        if "betti_total" not in data:
-            raise SchemaError(f"{field}.betti_total", "missing required field")
-        total = _betti_list(data["betti_total"], f"{field}.betti_total")
-        fixed = data.get("betti_fixed")
-        if fixed is not None:
-            fixed = _betti_list(fixed, f"{field}.betti_fixed")
-        forgetful = data.get("forgetful_onto_degrees")
-        if forgetful is not None:
-            at = f"{field}.forgetful_onto_degrees"
-            expect(forgetful, list, at)
-            forgetful = frozenset(expect(d, int, f"{at}[{i}]") for i, d in enumerate(forgetful))
-        class_filter = data.get("class_filter")
-        if class_filter is not None:
-            expect(class_filter, str, f"{field}.class_filter")
-            try:
-                class_filter = MaximalityClass(class_filter)
-            except ValueError:
-                raise SchemaError(
-                    f"{field}.class_filter", f"unknown class code {class_filter!r}"
-                )
-        flags = {
-            key: data.get(key) is not None and expect(data[key], bool, f"{field}.{key}")
-            for key in ("has_fixed_point", "connected", "poincare_dual")
-        }
-        return ConstraintSet(
-            dimension=n,
-            betti_total=total,
-            betti_fixed=fixed,
-            forgetful_onto_degrees=forgetful,
-            class_filter=class_filter,
-            **flags,
-        )
-
-
-def _betti_list(value, field: str) -> GradedDims:
-    """The dimensions of a dense list of nonnegative integers, else SchemaError."""
-    expect(value, list, field)
-    for i, entry in enumerate(value):
-        expect(entry, int, f"{field}[{i}]", "a nonnegative integer", minimum=0)
-    return GradedDims.from_list(value)
+        expect(data, dict, "constraints")
+        specs = fields(ConstraintSet)
+        known_fields(data, [f.metadata["key"] for f in specs], "constraints")
+        given = {}
+        for f in specs:
+            key = f.metadata["key"]
+            at = f"constraints.{key}"
+            if key in data and (data[key] is not None or f.default is MISSING):
+                given[f.name] = f.metadata["read"](data[key], at)
+            elif f.default is MISSING:
+                raise SchemaError(at, "missing required field")
+        return ConstraintSet(**given)
 
 
 def satisfies_constraints(cs: ConstraintSet, module: NormalFormModule) -> bool:

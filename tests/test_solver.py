@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -584,6 +585,20 @@ def test_constraint_set_invariants():
     )
 
 
+@pytest.mark.parametrize("degree", [44, 7, -4])
+def test_forgetful_degrees_outside_the_window(degree):
+    # such a degree would drop the surjectivity condition without a word:
+    # the cubic's search returned its 5 Betti-and-fixed modules, not 3
+    with pytest.raises(InfeasibleBounds) as info:
+        replace(cubic_constraints(), forgetful_onto_degrees=frozenset({4, degree}))
+    assert str(info.value) == (
+        f"forgetful_onto_degrees names degree {degree}, outside [0, 6]"
+    )
+    assert len(enumerate_decompositions(
+        replace(cubic_constraints(), forgetful_onto_degrees=frozenset({0, 4, 6}))
+    )) == 3
+
+
 def test_json_round_trip():
     cs = cubic_constraints(forgetful=True)
     data = cs.to_json_dict()
@@ -661,6 +676,9 @@ def _k3_json(**changes):
      "expected an integer"),
     (_k3_json(class_filter=["GM"]), "constraints.class_filter", "expected a string"),
     (_k3_json(class_filter="gm"), "constraints.class_filter", "unknown class code 'gm'"),
+    # of several faulty keys, the first in field order is reported
+    (_k3_json(forgetful_onto_degrees="x", has_fixed_point="yes"),
+     "constraints.has_fixed_point", "expected a boolean"),
 ])
 def test_invalid_constraint_files(data, field, message):
     with pytest.raises(SchemaError) as info:
