@@ -10,18 +10,22 @@ names, calls the handler and prints what it returns, once.
 
 Exit codes: 0 on success, 1 when ``pd-check`` or ``validate`` fails (the
 report is still emitted), 2 on any error: its code goes to stderr and
-nothing to stdout.
+nothing to stdout.  141 when stdout is closed early (``bredon solve ... |
+head``), with nothing on stderr.
 
 ``--format json`` never builds table text: each handler returns a function
 that renders its table, called only under ``--format table``.  A module
 printed as JSON (each ``solve`` line, ``show --format json``) is
-``NormalFormModule.to_json_text``, not the general encoder.
+``NormalFormModule.to_json_text``, not the general encoder; ``solve`` prints
+each line as the search yields its module.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections.abc import Iterator
 
 from .algebra import BivariatePolynomial, NormalFormModule, power, rank_polynomial
 from .catalog import catalog_get, catalog_list
@@ -45,7 +49,7 @@ from .localization import (
 from .serialize import canonical_dumps, load_json_file
 from .solver import (
     ConstraintSet,
-    enumerate_decompositions,
+    iter_decompositions,
     krasnov_predict,
     threefold_predict,
 )
@@ -134,8 +138,8 @@ def _flag_or_entry(flag: bool | None, entry, field: str) -> bool:
 
 # -- handlers: each takes the parsed arguments and the loaded input, and
 #    returns (payload, table renderer, exit code).  The renderer returns the
-#    table's lines; a tuple payload is a sequence of modules, one JSON line
-#    each.
+#    table's lines; an iterator payload yields modules, one JSON line each,
+#    printed as they come.
 
 
 def _catalog(args):
@@ -152,7 +156,7 @@ def _catalog(args):
 
 
 def _show(args, entry, module):
-    return (module,), lambda: [render_rank_lattice(module)], 0
+    return iter((module,)), lambda: [render_rank_lattice(module)], 0
 
 
 def _classify(args, entry, module):
@@ -276,7 +280,7 @@ def _hodge(args, entry, module):
 
 
 def _solve(args, constraints):
-    return tuple(enumerate_decompositions(constraints)), None, 0
+    return iter_decompositions(constraints), None, 0
 
 
 def _predict(args, constraints):
@@ -383,7 +387,7 @@ def _run(args) -> int:
     payload, table, code = handler(args, *_INPUTS[source][1](args))
     if getattr(args, "format", "json") == "table":
         lines = table()
-    elif isinstance(payload, tuple):
+    elif isinstance(payload, Iterator):
         lines = map(NormalFormModule.to_json_text, payload)
     else:
         lines = [canonical_dumps(payload)]
@@ -396,10 +400,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
     except BredonError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left (``bredon solve ... | head``).  As the SIGPIPE note
+        # of the Python docs says, point stdout at devnull so that the flush
+        # at exit cannot fail again; exit as a shell reports a SIGPIPE death.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exhaustive search for normal forms matching topological constraints.
 
 Given Betti numbers of a space (and optionally of its fixed locus), plus
-duality and surjectivity hypotheses, :func:`enumerate_decompositions` lists
-every normal form consistent with the data.  Each summand uses units of the
+duality and surjectivity hypotheses, :func:`iter_decompositions` yields
+every normal form consistent with the data, in canonical order, and
+:func:`enumerate_decompositions` lists them.  Each summand uses units of the
 singular Betti numbers: a free summand at (p, q) one unit in degree p (and
 one fixed-locus unit in degree p - q), an antipodal 0-sphere at shift r two
 units in degree r, a positive antipodal n-sphere one unit in degree r and
@@ -31,24 +32,47 @@ needs no entry, since it is offered no antipodal key.  The plan is built
 from the data and alone names and orders the budgets.  Budgets only go
 down, so an orbit representative becomes a slot only when every budget it
 charges is named; the plan, the budget list and every search state
-therefore grow with the data rather than with n.  The slots form one
-degree-ordered list.  What can still happen from slot i on depends only on
-the state ``(i, budgets)``, and every edge leads to a later slot, so the
+therefore grow with the data rather than with n.  The slots form one list
+in two parts: every free orbit first, in degree order and then weight
+order, then every antipodal orbit, in degree order and then
+sphere-dimension order.  What can still happen from slot i on depends only
+on the state ``(i, budgets)``, and every edge leads to a later slot, so the
 DAG is built level by level in slot order: each state is expanded once,
 passing over slots whose budgets ran out earlier in the search and trying
-every multiplicity they allow.  A sweep back over the levels then keeps the
-edges that lead to a completion, and a walk over an explicit stack turns
-each remaining path into a module.  Nothing recurses, so no answer depends
-on the interpreter's stack.  One search holds at most ``_MAX_STATES``
-(65,536) states and raises :class:`SearchTooLarge` when it would add one
-more; the walk is not bounded, since few states can carry very many paths.
-A budget must be spent once no later slot charges it (``closing``), which
-is how each degree's units are used up exactly; every slot uses units of
-its own degree, so once those are spent the search jumps to the next
-degree.  A starting budget that is not a multiple of the gcd of the units
-its slots charge it cannot be spent exactly, so
-:func:`enumerate_decompositions` returns nothing for such data before it
+every multiplicity they allow.  A sweep back over the levels then marks
+the states that lead to a completion: a state with no live edge for one
+or more copies takes over its child for zero copies, so a dead state ends
+empty.  A walk over an explicit stack turns each path through the live
+states into a module.  Nothing recurses, so no answer depends on the
+interpreter's stack.  One search holds at most ``_MAX_STATES`` (65,536)
+states and raises :class:`SearchTooLarge` when it would add one more; the
+walk is not bounded, since few states can carry very many paths.  A
+budget must be spent once no later slot charges it (``closing``), which is
+how each degree's units are used up exactly; every slot uses units of its
+own degree, so once those are spent the search jumps to the next degree of
+its part.  A starting budget that is not a multiple of the gcd of the
+units its slots charge it cannot be spent exactly, so
+:func:`iter_decompositions` yields nothing for such data before it
 searches.
+
+**Walk order.**  The walk yields the modules in canonical order
+(``NormalFormModule.sort_key``: the free rows, then the antipodal rows,
+each compared row by row, where a list that ends sorts first), so nothing
+is sorted and ``bredon solve`` prints each module as soon as it passes the
+re-check.  Within a part the slots come in key order, since an orbit's
+representative is its least key, and a choice of c >= 1 copies at key k
+sorts by (k, c).  The one case that needs care is a module whose remaining
+part is all zero: it sorts before a choice c >= 1 at key k exactly when no
+row of that part is pending at a key above k.  Rows are pending only under
+duality, from mirror keys.  So at each state the walk gathers the choices
+c >= 1 along the state's chain of 0-copy edges inside its part, in key
+order, and puts the chain's exit, the state where it leaves the part, at
+the highest key of that part set so far.  Keys are compared by a rank that
+puts every free key below every antipodal one, so the highest key starts
+afresh when the walk enters the antipodal part.  The price of this order is
+a larger DAG: the free part is decided first, so each degree's budget stays
+open until the antipodal slots (522 states for the Betti-only K3, against
+232 when the two kinds of slot were interleaved by degree).
 
 Every module the search produces is re-checked through the public
 localization and classification operations before it is returned, so the
@@ -60,13 +84,14 @@ bounds only under duality, so without it the box can leave out modules
 that meet the constraints: n=1 ``[1,0,1]`` without flags omits
 ``M2[0,0] + M2[2,2]``, and n=1 ``[2,1,0]`` with a fixed point omits
 ``M2[0,0] + A1[0]``.  Within the box the pruning only affects speed.  The
-search is single-threaded; output is canonically sorted so it does not
-depend on exploration order.
+search is single-threaded.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from math import gcd
@@ -86,6 +111,7 @@ __all__ = [
     "ConstraintSet",
     "MaximalityPrediction",
     "enumerate_decompositions",
+    "iter_decompositions",
     "satisfies_constraints",
     "krasnov_predict",
     "threefold_predict",
@@ -249,17 +275,28 @@ _MAX_STATES = 1 << 16
 
 
 def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
-    """All normal forms consistent with the constraints, canonically sorted.
+    """All normal forms consistent with the constraints, canonically sorted:
+    ``list(iter_decompositions(cs))``.  An empty list is a legitimate
+    answer."""
+    return list(iter_decompositions(cs))
 
-    The whole list is built and sorted before it is returned; ``bredon
-    solve`` prints it afterwards, one ``to_json_text`` line per module.  An
-    empty list is a legitimate answer.  Raises :class:`SearchTooLarge` when
-    the search DAG would exceed ``_MAX_STATES`` states, whatever the call
-    stack.  ``[1,0,1,...,1,0,1]`` with all three flags builds 60,126 states
-    at n = 18 (and then walks more paths than can be listed) and raises at
-    every even n >= 20 within about a second; odd n returns ``[]`` at once
-    through the gcd rule.  Betti-only ``{0: 1, 2n: 1}`` has n + 7 states and
-    returns its n + 2 modules at n = 20000.
+
+def iter_decompositions(cs: ConstraintSet) -> Iterator[NormalFormModule]:
+    """Yield every normal form consistent with the constraints, in canonical
+    order, each as soon as it passes the re-check; ``bredon solve`` prints
+    one ``to_json_text`` line per module as it comes.
+
+    The whole search DAG is built before the first module, so
+    :class:`SearchTooLarge`, raised when the DAG would exceed
+    ``_MAX_STATES`` states whatever the call stack, comes before any module.
+    Search states, root included: Betti-only K3 522, ``pd_n3`` 415,
+    ``pd_n4_neither`` 359, Betti-only cubic 1,383.  ``projective_space(16)``
+    with full data builds 18,533 states and yields 2,759 modules;
+    ``projective_space(17)`` and ``(18)`` raise.  ``[1,0,1,...,1,0,1]``
+    with all three flags builds 34,817 states at n = 12 and raises at every
+    even n >= 14 within about half a second; odd n yields nothing at once
+    through the gcd rule.  Betti-only ``{0: 1, 2n: 1}`` has 2n + 9 states
+    and yields its n + 2 modules at n = 20000.
     """
     n = cs.dimension
     betti = dict(cs.betti_total.items())
@@ -275,28 +312,30 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
     # exactly.  Under duality this ends an odd middle Betti number of odd n
     # at once, since every orbit charges that degree two units.
     if any(budget[e] % k for e, k in units):
-        return []
+        return
 
-    # levels[i]: budgets -> edges out of state (i, budgets), first as
-    # (multiplicity, free keys, antipodal keys, child edges), then, once
-    # pruned, as (free segment, antipodal segment, child edges); a completing
-    # edge has child None.  Every edge leads to a later slot, so the levels
-    # are expanded in order.
-    levels: list[dict[tuple, list]] = [{} for _ in range(len(slots) + 1)]
+    # levels[i]: budgets -> state (i, budgets), a list: [j, child for 0
+    # copies, child for 1 copy, ...] when j is its first slot with room,
+    # [end] when it completes, and [] when it is dead.  Every edge leads to
+    # a later slot, so the levels are expanded in order.
+    end = len(slots)
+    levels: list[dict[tuple, list]] = [{} for _ in range(end + 1)]
     levels[0][tuple(budget)] = root = []
     states = 1
     for i, level in enumerate(levels):
-        for key, edges in level.items():
+        for key, state in level.items():
             budget, j = list(key), i
-            while not any(budget[e] for e in closing[j]):
-                if j == len(slots):
-                    edges.append((0, (), (), None))
+            left = budget.__getitem__
+            while not any(map(left, closing[j])):
+                if j == end:
+                    state.append(end)
                     break
-                charges, free_keys, anti_keys, clears, after = slots[j]
+                charges, _, _, clears, _, _, after = slots[j]
                 cap = min(budget[e] // k for e, k in charges)
                 if not cap:  # pass over a slot whose budgets ran out earlier
                     j = j + 1 if budget[charges[0][0]] else after
                     continue
+                state.append(j)
                 for c in range(cap + 1):  # c copies are charged to budget here
                     # once its own degree is spent, no later slot of that degree fits
                     target = levels[j + 1 if budget[charges[0][0]] else after]
@@ -309,41 +348,90 @@ def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
                                 f"the search for n={n} needs more than {_MAX_STATES} states"
                             )
                         child = target[child_key] = []
-                    edges.append((c, free_keys, anti_keys, child))
+                    state.append(child)
                     for e, k in charges:
                         budget[e] -= k
                     if clears:
                         budget[-1] = 0  # the class entry, which the plan names last
                 break
 
-    # keep only the edges that lead to a completion, later levels first, and
-    # set their rows only then: most edges of a small search die
+    # Later levels first, a state with no live edge for c >= 1 copies takes
+    # the contents of its child for 0 copies, whose completions it shares:
+    # so it ends empty when dead and as [end] when it can only complete.
+    # No other state is touched.
     for level in reversed(levels):
-        for edges in level.values():
-            if edges:
-                edges[:] = [
-                    (tuple((p, q, c) for p, q in free_keys) if c else (),
-                     tuple((s, t, c) for s, t in anti_keys) if c else (), child)
-                    for c, free_keys, anti_keys, child in edges if child is None or child
-                ]
+        for state in level.values():
+            if len(state) > 1 and not any(state[2:]):
+                state[:] = state[1]
 
-    # walk every path left, one module per completing edge
-    results, stack = [], [(root, (), ())]
+    # The walk, in canonical order (module docstring).  An entry is a state
+    # (None once complete), the rows set so far and the rank of the highest
+    # key among them; a state's choices are pushed last first.  A state's
+    # walk record is built at its first visit.
+    records = {}
+    stack = [(root, (), (), -1)] if root else []
     while stack:
-        edges, free, anti = stack.pop()
-        for free_seg, anti_seg, child in edges:
-            if child is not None:
-                stack.append((child, free + free_seg, anti + anti_seg))
-            elif satisfies_constraints(cs, module := make_module(free + free_seg, anti + anti_seg)):
-                results.append(module)
-    results.sort(key=NormalFormModule.sort_key)
-    return results
+        state, free, anti, high = stack.pop()
+        if state is None:
+            if satisfies_constraints(cs, module := make_module(free, anti)):
+                yield module
+            continue
+        record = records.get(id(state))
+        if record is None:
+            record = records[id(state)] = _walk_record(state, slots)
+        keys, segments, leave = record
+        above = len(keys) - bisect_left(keys, high)
+        for free_seg, anti_seg, child, top in segments[:above]:
+            stack.append((child, free + free_seg, anti + anti_seg, top))
+        if leave is not False:
+            stack.append((leave, free, anti, high))
+        for free_seg, anti_seg, child, top in segments[above:]:
+            stack.append((child, free + free_seg, anti + anti_seg, top if top > high else high))
+
+
+def _walk_record(state, slots):
+    """The choices of a live state, as (keys, segments, leave).
+
+    Following the state's edges for 0 copies while they stay in its part
+    (free or antipodal), each live edge for c >= 1 copies is one segment
+    ``(free rows, antipodal rows, child, top)``: the child is None when it
+    completes, and top is the rank of the highest key the segment sets.
+    ``keys`` lists the ranks of the segments' slot keys in increasing order
+    and ``segments`` lists the segments in decreasing order, the order in
+    which the walk pushes them.  ``leave`` is the state where the 0-copy
+    chain leaves the part: None when it completes, False when it dies.
+    """
+    end = len(slots)
+    keys, segments = [], []
+    j = state[0]
+    free_part = j < end and bool(slots[j][1])
+    while j < end:
+        _, free_keys, anti_keys, _, key, top, _ = slots[j]
+        if bool(free_keys) is not free_part:
+            break
+        for c in range(1, len(state) - 1):
+            child = state[c + 1]
+            if child:
+                keys.append(key)
+                if len(child) == 1:  # [end]
+                    child = None
+                if free_part:
+                    segments.append((tuple([(p, q, c) for p, q in free_keys]), (), child, top))
+                else:
+                    segments.append(((), tuple([(r, t, c) for r, t in anti_keys]), child, top))
+        state = state[1]
+        if not state:
+            segments.reverse()
+            return keys, segments, False
+        j = state[0]
+    segments.reverse()
+    return keys, segments, None if j == end else state
 
 
 @lru_cache(maxsize=64)
 def _orbit_plan(n, betti, fixed, poincare_dual, has_fixed_point, forgetful, klass):
-    """The budget names, the orbit slots in degree order, the budgets closing
-    at each slot, and the gcd of the units the slots charge each budget.
+    """The budget names, the orbit slots, the budgets closing at each slot,
+    and the gcd of the units the slots charge each budget.
 
     ``betti`` and ``fixed`` are the degrees where the singular and the
     fixed-locus Betti numbers are positive, ``fixed`` None when the fixed
@@ -354,16 +442,19 @@ def _orbit_plan(n, betti, fixed, poincare_dual, has_fixed_point, forgetful, klas
     (2n otherwise) are slots, but only those whose every charged budget is
     named: budgets only go down, so no other could take a copy.  With the
     fixed locus given, the free weights of degree d are d - f for its
-    degrees f.  A slot is ``(charges, free_keys, antipodal_keys, clears,
+    degrees f.  The free slots come first, in degree and then weight order,
+    then the antipodal ones, in degree and then sphere-dimension order.  A
+    slot is ``(charges, free_keys, antipodal_keys, clears, least, most,
     after)``: the (budget, units) pairs one copy of the orbit uses, starting
     with its own degree, the keys it sets, whether a copy of it clears the
-    class entry (its keys are of the kind the class needs), and the index of
-    the first slot of the next degree.  The class entry is not charged per
-    copy and bounds no multiplicity.  Keys the forgetful or class rules
-    forbid are left out.  ``closing[i]`` lists the budgets that must be
-    spent by slot i: those last charged (or, for the class entry, cleared)
-    at slot i - 1 or in the degree before slot i (the jump target of a spent
-    degree), and, at i = 0, those no slot charges or clears.
+    class entry (its keys are of the kind the class needs), the ranks of its
+    least and greatest key, and the index of the first slot of the next
+    degree in its part.  The class entry is not charged per copy and bounds
+    no multiplicity.  Keys the forgetful or class rules forbid are left out.
+    ``closing[i]`` lists the budgets that must be spent by slot i: those
+    last charged (or, for the class entry, cleared) at slot i - 1 or in the
+    degree before slot i (the jump target of a spent degree), and, at
+    i = 0, those no slot charges or clears.
     """
     top = 2 * n
     last = n if poincare_dual else top
@@ -380,44 +471,57 @@ def _orbit_plan(n, betti, fixed, poincare_dual, has_fixed_point, forgetful, klas
             return (key,)
         return (key, mirror) if key < mirror else None
 
-    slots = []
-    for d in betti:  # every slot of degree d charges budget ("betti", d)
-        if d > last:
-            break
+    def free_orbits(d):
         weights = range(min(d, n) + 1)
         if fixed is not None:
             weights = [d - f for f in reversed(fixed) if d - f in weights]
-        members = []
         for q in weights:
             keys = orbit((d, q), (top - d, n - q))
             if keys:
-                members.append((keys, ()))
-        if d >= min_shift and klass is not MaximalityClass.MAXIMAL:
-            for t in (e - d for e in betti if d <= e <= span_cap):
-                keys = orbit((d, t), (top - d - t, t))
-                if not keys or t and klass is MaximalityClass.GALOIS_MAXIMAL_ONLY:
-                    continue
-                if all(r + span not in forgetful for r, span in keys):
-                    members.append(((), keys))
-        kept = []
-        for free_keys, anti_keys in members:
-            # the name of every unit one copy of the orbit uses, its own
-            # degree first
-            units = [("betti", p) for p, _ in free_keys]
-            for r, t in anti_keys:
-                units += [("betti", r), ("betti", r + t)]
-            if fixed is not None:
-                units += [("fixed", p - q) for p, q in free_keys]
-            if all(u in index for u in units):
-                clears = needed is not None and any(t >= needed for _, t in anti_keys)
-                charges = tuple((index[u], k) for u, k in Counter(units).items())
-                kept.append((charges, free_keys, anti_keys, clears))
-        after = len(slots) + len(kept)
-        slots += [(*slot, after) for slot in kept]
+                yield keys, ()
+
+    def antipodal_orbits(d):
+        if d < min_shift or klass is MaximalityClass.MAXIMAL:
+            return
+        for t in (e - d for e in betti if d <= e <= span_cap):
+            keys = orbit((d, t), (top - d - t, t))
+            if not keys or t and klass is MaximalityClass.GALOIS_MAXIMAL_ONLY:
+                continue
+            if all(r + span not in forgetful for r, span in keys):
+                yield (), keys
+
+    def rank(key, free):
+        """A number that orders keys as ``sort_key`` does, every free key
+        (p, q), q <= n, below every antipodal key (r, t), t <= 2n."""
+        a, b = key
+        return a * (n + 1) + b if free else (top + 1) * (n + 1 + a) + b
+
+    slots = []
+    for orbits in (free_orbits, antipodal_orbits):  # the free part, then the antipodal one
+        for d in betti:  # every slot of degree d charges budget ("betti", d)
+            if d > last:
+                break
+            kept = []
+            for free_keys, anti_keys in orbits(d):
+                # the name of every unit one copy of the orbit uses, its own
+                # degree first
+                units = [("betti", p) for p, _ in free_keys]
+                for r, t in anti_keys:
+                    units += [("betti", r), ("betti", r + t)]
+                if fixed is not None:
+                    units += [("fixed", p - q) for p, q in free_keys]
+                if all(u in index for u in units):
+                    clears = needed is not None and any(t >= needed for _, t in anti_keys)
+                    charges = tuple((index[u], k) for u, k in Counter(units).items())
+                    keys = free_keys or anti_keys
+                    least, most = rank(keys[0], free_keys), rank(keys[-1], free_keys)
+                    kept.append((charges, free_keys, anti_keys, clears, least, most))
+            after = len(slots) + len(kept)
+            slots += [(*slot, after) for slot in kept]
 
     final = {}
     gcds = {}
-    for i, (charges, _, _, clears, after) in enumerate(slots):
+    for i, (charges, _, _, clears, _, _, after) in enumerate(slots):
         for e, k in charges:
             final[e] = {i + 1, after}
             gcds[e] = gcd(gcds.get(e, 0), k)

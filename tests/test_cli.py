@@ -250,6 +250,47 @@ def test_solve_prints_every_module_canonically(tmp_path, capsys):
     assert any(mult >= 10 for m in modules for _, _, mult in m.free + m.antipodal)
 
 
+def test_solve_writes_its_first_line_before_a_second_candidate(tmp_path, monkeypatch):
+    """``bredon solve`` prints each module as the search yields it: the first
+    line is written while only one candidate has been built."""
+    import contextlib
+
+    import bredon.solver
+
+    built = []
+    make = bredon.solver.make_module
+
+    def counted(*rows):
+        built.append(rows)
+        return make(*rows)
+
+    class Sink:
+        """A stdout that records how many candidates were built at its first write."""
+
+        def __init__(self):
+            self.at_first_write = None
+            self.text = []
+
+        def write(self, text):
+            if self.at_first_write is None:
+                self.at_first_write = len(built)
+            self.text.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(bredon.solver, "make_module", counted)
+    constraints = ConstraintSet(dimension=2, betti_total=GradedDims.from_list([1, 0, 22, 0, 1]))
+    path = tmp_path / "k3_betti.json"
+    path.write_text(json.dumps(constraints.to_json_dict()))
+    sink = Sink()
+    with contextlib.redirect_stdout(sink):
+        assert main(["solve", "--constraints", str(path)]) == 0
+    assert sink.at_first_write == 1
+    assert len(built) == "".join(sink.text).count("\n") == 10146
+
+
 def test_predict(tmp_path, capsys):
     constraints = ConstraintSet(
         dimension=3,

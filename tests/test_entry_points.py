@@ -25,6 +25,29 @@ def test_python_m_bredon_matches_in_process(capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
+def test_closed_pipe_exits_141_quietly():
+    """``bredon solve ... | head -n 1``: once the reader has gone, the program
+    stops writing and exits 141, as a shell reports a SIGPIPE death, with
+    nothing on stderr."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
+    constraints = ROOT / "benchmarks" / "data" / "k3_betti.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bredon", "solve", "--constraints", str(constraints)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=ROOT,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # 10,146 lines do not fit in the pipe: a later write fails
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first == b'{"free":[],"antipodal":[[0,2,1],[2,0,10],[2,2,1]]}\n'
+    assert (code, err) == (141, b"")
+
+
 def test_console_script_target():
     # a regex, not tomllib: Python 3.10 has no TOML reader
     text = (ROOT / "pyproject.toml").read_text()

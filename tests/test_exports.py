@@ -7,7 +7,8 @@ import bredon
 SUBMODULES = ("algebra", "localization", "classification", "solver", "catalog", "exceptions")
 
 # the public names before the package built __all__ from its submodules,
-# plus SearchTooLarge, added with the bound on search states
+# plus SearchTooLarge, added with the bound on search states, and
+# iter_decompositions, the streamed search
 PUBLIC_NAMES = [
     "BivariatePolynomial", "BorelModule", "BredonError", "C2GradedSpace", "CatalogEntry",
     "ConstraintSet", "ConstraintViolation", "GradedDims", "HomologyModule", "InfeasibleBounds",
@@ -19,10 +20,10 @@ PUBLIC_NAMES = [
     "borel_classify", "catalog_get", "catalog_list", "classify", "direct_sum",
     "enumerate_decompositions", "fixed_poincare_polynomial", "forgetful_image_dims",
     "group_cohomology_dims", "hodge_birank_check", "hodge_expressive_check", "homology_dual",
-    "krasnov_predict", "m2_basis", "m2_multiply", "make_module", "pd_symmetric",
-    "rank_polynomial", "real_manifold_validate", "rho_localize", "satisfies_constraints",
-    "singular_betti", "smith_thom_report", "suspend", "tau_localize", "threefold_predict",
-    "underlying_singular",
+    "iter_decompositions", "krasnov_predict", "m2_basis", "m2_multiply", "make_module",
+    "pd_symmetric", "rank_polynomial", "real_manifold_validate", "rho_localize",
+    "satisfies_constraints", "singular_betti", "smith_thom_report", "suspend", "tau_localize",
+    "threefold_predict", "underlying_singular",
 ]
 
 

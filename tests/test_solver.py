@@ -117,6 +117,12 @@ def _random_constraints(rng):
     )
 
 
+def _assert_strictly_sorted(modules, cs):
+    """The walk yields canonical order itself: each sort key exceeds the last."""
+    keys = [m.sort_key() for m in modules]
+    assert all(a < b for a, b in zip(keys, keys[1:])), cs.to_json_dict()
+
+
 def test_completeness_against_brute_force():
     rng = random.Random(424242)
     nonempty = 0
@@ -125,6 +131,7 @@ def test_completeness_against_brute_force():
         fast = enumerate_decompositions(cs)
         slow = brute_force_decompositions(cs)
         assert fast == slow, cs.to_json_dict()
+        _assert_strictly_sorted(fast, cs)
         nonempty += bool(fast)
     assert nonempty >= 10  # the comparison must not be vacuous
 
@@ -165,11 +172,13 @@ def _box_constraints(boxes=((1, 3), (2, 2)), fixed_lists=(None,)):
 
 
 def _sweep_against_brute_force(constraint_sets):
-    """(sets, nonempty sets), asserting the search equals the oracle on each."""
+    """(sets, nonempty sets), asserting the search equals the oracle on each
+    and yields its modules in strictly increasing canonical order."""
     cases = nonempty = 0
     for cs in constraint_sets:
         fast = enumerate_decompositions(cs)
         assert fast == brute_force_decompositions(cs), cs.to_json_dict()
+        _assert_strictly_sorted(fast, cs)
         cases += 1
         nonempty += bool(fast)
     return cases, nonempty
@@ -482,15 +491,61 @@ def test_long_empty_run_needs_no_deep_stack():
 
 
 def test_state_bound_counts_states_not_paths(monkeypatch):
-    """n=2 ``[1,0,4,0,1]`` has 147 modules over 52 search states: the bound
-    admits it at 52 states and refuses it at 51."""
+    """n=2 ``[1,0,4,0,1]`` has 147 modules over 108 search states: the bound
+    admits it at 108 states and refuses it at 107."""
     cs = ConstraintSet(dimension=2, betti_total=GradedDims.from_list([1, 0, 4, 0, 1]))
-    monkeypatch.setattr(solver, "_MAX_STATES", 52)
+    monkeypatch.setattr(solver, "_MAX_STATES", 108)
     assert len(enumerate_decompositions(cs)) == 147
-    monkeypatch.setattr(solver, "_MAX_STATES", 51)
+    monkeypatch.setattr(solver, "_MAX_STATES", 107)
     with pytest.raises(SearchTooLarge) as info:
         enumerate_decompositions(cs)
-    assert str(info.value) == "the search for n=2 needs more than 51 states"
+    assert str(info.value) == "the search for n=2 needs more than 107 states"
+
+
+def _full_data(entry):
+    """The constraints a catalog entry's module gives, all of its data known."""
+    module = entry.module
+    return ConstraintSet(
+        dimension=entry.dimension,
+        betti_total=underlying_singular(module).dims(),
+        betti_fixed=rho_localize(module),
+        has_fixed_point=entry.has_fixed_point,
+        connected=entry.connected,
+        poincare_dual=entry.is_real_manifold,
+    )
+
+
+def test_projective_space_frontier():
+    """Deciding the free part first leaves each degree's budget open until
+    the antipodal slots: ``projective_space(16)`` with full data needs
+    18,533 states and still returns its 2,759 modules, while
+    ``projective_space(17)`` needs more than the bound."""
+    entry = catalog_get("projective_space", n=16)
+    found = enumerate_decompositions(_full_data(entry))
+    assert len(found) == 2759 and entry.module in found
+    with pytest.raises(SearchTooLarge) as info:
+        enumerate_decompositions(_full_data(catalog_get("projective_space", n=17)))
+    assert str(info.value) == "the search for n=17 needs more than 65536 states"
+
+
+def test_iteration_yields_the_list_and_raises_before_any_module():
+    """``iter_decompositions`` builds its whole DAG on the first ``next``, so
+    a search that is too large yields no module before it raises."""
+    cs = ConstraintSet(dimension=2, betti_total=GradedDims.from_list([1, 0, 12, 0, 1]))
+    modules = solver.iter_decompositions(cs)
+    assert next(modules) == enumerate_decompositions(cs)[0]
+    assert [next(modules), *modules] == enumerate_decompositions(cs)[1:]
+    too_large = solver.iter_decompositions(
+        ConstraintSet(
+            dimension=14,
+            betti_total=GradedDims.from_list([1, 0] + [1] * 25 + [0, 1]),
+            has_fixed_point=True,
+            connected=True,
+            poincare_dual=True,
+        )
+    )
+    with pytest.raises(SearchTooLarge):
+        next(too_large)
 
 
 def test_plan_follows_the_data():
