@@ -275,7 +275,7 @@ _MAX_STATES = 1 << 16
 
 
 def enumerate_decompositions(cs: ConstraintSet) -> list[NormalFormModule]:
-    """All normal forms consistent with the constraints, canonically sorted:
+    """All normal forms consistent with the constraints, in canonical order:
     ``list(iter_decompositions(cs))``.  An empty list is a legitimate
     answer."""
     return list(iter_decompositions(cs))
