@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exceptions import (
@@ -385,6 +386,15 @@ class BivariatePolynomial:
 _MODULE_KEYS = ("free", "antipodal")
 
 
+@lru_cache(maxsize=128)
+def _line_template(free_rows: int, antipodal_rows: int) -> str:
+    """The ``%`` template of a module line with these row counts."""
+    return '{"free":[%s],"antipodal":[%s]}' % (
+        ",".join(["[%d,%d,%d]"] * free_rows),
+        ",".join(["[%d,%d,%d]"] * antipodal_rows),
+    )
+
+
 @dataclass(frozen=True)
 class NormalFormModule:
     """Two multiplicity maps: free summands at (p, q), antipodal at (r, n).
@@ -492,11 +502,15 @@ class NormalFormModule:
         """``canonical_dumps(self.to_json_dict())``, formatted from the rows.
 
         The one producer of a top-level module line (``solve``, ``show
-        --format json``).  ``%d`` is exact because every entry is an ``int``.
+        --format json``).  The line is one ``%`` format of every entry, free
+        rows first, into a template that holds one ``[%d,%d,%d]`` per row and
+        so depends only on the two row counts; ``_line_template`` keeps the
+        128 most recently used templates.  ``%d`` is exact because every
+        entry is an ``int``.
         """
-        return '{"free":[%s],"antipodal":[%s]}' % (
-            ",".join(map("[%d,%d,%d]".__mod__, self.free)),
-            ",".join(map("[%d,%d,%d]".__mod__, self.antipodal)),
+        free, antipodal = self.free, self.antipodal
+        return _line_template(len(free), len(antipodal)) % tuple(
+            itertools.chain.from_iterable(free + antipodal)
         )
 
     @staticmethod

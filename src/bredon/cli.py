@@ -391,8 +391,9 @@ def _run(args) -> int:
         lines = map(NormalFormModule.to_json_text, payload)
     else:
         lines = [canonical_dumps(payload)]
+    write = sys.stdout.write
     for line in lines:
-        print(line)
+        write(line + "\n")  # print would write the line and its newline apart
     return code
 
 

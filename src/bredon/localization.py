@@ -12,13 +12,16 @@ forgetful maps, so every operation here is a per-summand bookkeeping rule:
   summand, one regular (swapped-basis) summand per antipodal 0-sphere, and a
   pair of trivial lines in degrees r and r + n for n > 0; ``singular_betti``
   reads its Betti numbers, ``underlying_singular(m).dims()``, directly off
-  the summands with one merge;
+  the summands, summing them degree by degree in one pass;
 * the forgetful map hits exactly one line per summand, at its shift degree.
 
 Poincare duality for a compact Real n-manifold mirrors the free multiplicity
 map through (p, q) <-> (2n - p, n - q) and the antipodal one through
 (s, t) <-> (2n - s - t, t); ``pd_symmetric`` and ``real_manifold_validate``
 check those symmetries together with the positional bounds they force.
+``real_manifold_validate`` reads each part once: one loop over the free rows
+and one over the antipodal rows give every bound list and the degree-0
+singular dimension.
 """
 
 from __future__ import annotations
@@ -274,19 +277,24 @@ def underlying_singular(module: NormalFormModule) -> C2GradedSpace:
 def singular_betti(module: NormalFormModule) -> GradedDims:
     """Betti numbers of the underlying singular cohomology.
 
-    Equal to ``underlying_singular(module).dims()``, built with one merge:
-    a free summand at (p, q) gives a line in degree p, an antipodal 0-sphere
-    at r a regular summand (two lines) in degree r, and an antipodal n-sphere
-    at r, n > 0, a line in degree r and one in degree r + n.
+    Equal to ``underlying_singular(module).dims()``: a free summand at
+    (p, q) gives a line in degree p, an antipodal 0-sphere at r a regular
+    summand (two lines) in degree r, and an antipodal n-sphere at r, n > 0,
+    a line in degree r and one in degree r + n.  The lines are summed degree
+    by degree in one pass, so the ``GradedDims`` is built from one row per
+    degree rather than one per summand.
     """
-    rows = [(p, m) for p, _, m in module.free]
+    dims: dict[int, int] = {}
+    get = dims.get
+    for p, _, m in module.free:
+        dims[p] = get(p, 0) + m
     for r, n, m in module.antipodal:
-        if n == 0:
-            rows.append((r, 2 * m))
+        if n:
+            dims[r] = get(r, 0) + m
+            dims[r + n] = get(r + n, 0) + m
         else:
-            rows.append((r, m))
-            rows.append((r + n, m))
-    return GradedDims(rows)
+            dims[r] = get(r, 0) + 2 * m
+    return GradedDims(tuple(dims.items()))
 
 
 def forgetful_image_dims(module: NormalFormModule) -> GradedDims:
@@ -327,7 +335,7 @@ def pd_symmetric(module: NormalFormModule, dimension: int) -> PdReport:
     n = dimension
     violations = []
     free = module.free
-    if free != tuple((2 * n - p, n - q, m) for p, q, m in reversed(free)):
+    if free != tuple([(2 * n - p, n - q, m) for p, q, m in reversed(free)]):
         counts = module.free_map()
         for p, q, count in free:
             mirror = (2 * n - p, n - q)
@@ -335,7 +343,7 @@ def pd_symmetric(module: NormalFormModule, dimension: int) -> PdReport:
             if other != count:
                 violations.append(PdViolation("free", (p, q), mirror, count, other))
     anti = module.antipodal
-    if anti != tuple(sorted((2 * n - s - t, t, m) for s, t, m in anti)):
+    if anti != tuple(sorted([(2 * n - s - t, t, m) for s, t, m in anti])):
         counts = module.antipodal_map()
         for s, t, count in anti:
             mirror = (2 * n - s - t, t)
@@ -360,17 +368,24 @@ def real_manifold_validate(
     top = 2 * n
     failures: list[ValidationFailure] = []
 
-    bad = tuple((p, q) for p, q, _ in module.free if q > n)
+    # One pass over the free rows: the weight-bound list, and their lines in
+    # degree 0 of underlying_singular (one per row at p = 0).
+    bad = []
+    b0 = 0
+    for p, q, m in module.free:
+        if q > n:
+            bad.append((p, q))
+        if p == 0:
+            b0 += m
     if bad:
         failures.append(
-            ValidationFailure("free_weight_bound", bad, f"requires q <= {n}")
+            ValidationFailure("free_weight_bound", tuple(bad), f"requires q <= {n}")
         )
 
     # One pass over the antipodal rows: the three bound lists, and their
     # lines in degree 0 of underlying_singular (at r and at r + n; keys
     # outside the CW box can put either there).
     span, shift, strict = [], [], []
-    b0 = 0
     for r, t, m in module.antipodal:
         end = r + t
         if end >= top:
@@ -413,8 +428,7 @@ def real_manifold_validate(
             )
 
     if connected:
-        # underlying_singular(module).dimension(0): a line per free row at p = 0
-        b0 += sum(m for p, _, m in module.free if p == 0)
+        # b0 is underlying_singular(module).dimension(0)
         if b0 != 1:
             failures.append(
                 ValidationFailure(

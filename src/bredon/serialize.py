@@ -27,22 +27,36 @@ def canonical_dumps(data) -> str:
     return _ENCODE(data)
 
 
-def parse_json(text: str, source: str = "<input>"):
+def parse_json(text: str | bytes, source: str = "<input>"):
+    """The value of a JSON text, else ParseError naming ``source``.
+
+    Bytes are decoded as UTF-8, JSON's encoding.  Only a syntax error names
+    a line and column; text that is not UTF-8, nesting deeper than the
+    interpreter's stack and an integer literal longer than its conversion
+    limit (4,300 digits by default) are errors of the whole text.
+    """
     try:
-        return json.loads(text)
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{source}: JSON nested too deeply to read") from exc
+    except ValueError as exc:  # an integer literal over the conversion limit
+        raise ParseError(f"{source}: unreadable integer: {exc}") from exc
 
 
 def load_json_file(path: str | Path):
+    """The JSON value of a file read as UTF-8, else ParseError naming it."""
     p = Path(path)
     try:
-        text = p.read_text()
+        data = p.read_bytes()
     except OSError as exc:
         raise ParseError(f"{p}: {exc.strerror or exc}") from exc
-    return parse_json(text, source=str(p))
+    return parse_json(data, source=str(p))
 
 
 def expect(value, kind, field: str, what: str | None = None, minimum: int | None = None):

@@ -69,7 +69,10 @@ c >= 1 along the state's chain of 0-copy edges inside its part, in key
 order, and puts the chain's exit, the state where it leaves the part, at
 the highest key of that part set so far.  Keys are compared by a rank that
 puts every free key below every antipodal one, so the highest key starts
-afresh when the walk enters the antipodal part.  The price of this order is
+afresh when the walk enters the antipodal part.  A state with exactly one
+choice and no exit is forced, and the walk follows it in place, with no
+push, pop or search of its keys; most visits are forced (13,333 of the
+16,832 of the Betti-only K3).  The price of this order is
 a larger DAG: the free part is decided first, so each degree's budget stays
 open until the antipodal slots (522 states for the Betti-only K3, against
 232 when the two kinds of slot were interleaved by degree).
@@ -367,26 +370,35 @@ def iter_decompositions(cs: ConstraintSet) -> Iterator[NormalFormModule]:
     # The walk, in canonical order (module docstring).  An entry is a state
     # (None once complete), the rows set so far and the rank of the highest
     # key among them; a state's choices are pushed last first.  A state's
-    # walk record is built at its first visit.
+    # walk record is built at its first visit.  A forced state, one choice
+    # and no exit, is followed in place.
     records = {}
     stack = [(root, (), (), -1)] if root else []
     while stack:
         state, free, anti, high = stack.pop()
-        if state is None:
+        while state is not None:
+            record = records.get(id(state))
+            if record is None:
+                record = records[id(state)] = _walk_record(state, slots)
+            keys, segments, leave = record
+            if leave is False and len(segments) == 1:
+                free_seg, anti_seg, state, top = segments[0]
+                free += free_seg
+                anti += anti_seg
+                if top > high:
+                    high = top
+                continue
+            above = len(keys) - bisect_left(keys, high)
+            for free_seg, anti_seg, child, top in segments[:above]:
+                stack.append((child, free + free_seg, anti + anti_seg, top))
+            if leave is not False:
+                stack.append((leave, free, anti, high))
+            for free_seg, anti_seg, child, top in segments[above:]:
+                stack.append((child, free + free_seg, anti + anti_seg, top if top > high else high))
+            break
+        else:  # the path is complete
             if satisfies_constraints(cs, module := make_module(free, anti)):
                 yield module
-            continue
-        record = records.get(id(state))
-        if record is None:
-            record = records[id(state)] = _walk_record(state, slots)
-        keys, segments, leave = record
-        above = len(keys) - bisect_left(keys, high)
-        for free_seg, anti_seg, child, top in segments[:above]:
-            stack.append((child, free + free_seg, anti + anti_seg, top))
-        if leave is not False:
-            stack.append((leave, free, anti, high))
-        for free_seg, anti_seg, child, top in segments[above:]:
-            stack.append((child, free + free_seg, anti + anti_seg, top if top > high else high))
 
 
 def _walk_record(state, slots):

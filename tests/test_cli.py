@@ -424,6 +424,25 @@ def test_unreadable_inputs_exit_2(tmp_path, capsys):
     ]:
         assert run(capsys, *argv) == (2, "", err_want), argv
 
+    # files that are not UTF-8, nest deeper than the stack or hold an integer
+    # over the conversion limit: each kind of input, one line on stderr
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'{"free": [[0, 0, 1]]}\xff')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"n": ' + "1" * 5000 + "}")
+    for path, message in [
+        (not_utf8, "not UTF-8 text: invalid start byte at byte 21"),
+        (deep, "JSON nested too deeply to read"),
+        (long_int, "unreadable integer: "),
+    ]:
+        for argv in (("show", "--module", str(path)), ("solve", "--constraints", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error[PARSE_ERROR]: {path}: {message}"), argv
+            assert err.count("\n") == 1 and err.endswith("\n"), argv
+
 
 def test_module_file_unknown_field_exits_2(tmp_path, capsys):
     typo = tmp_path / "typo.json"
