@@ -226,12 +226,30 @@ def clean_rows(rows: Iterable[Sequence], width: int, what: str) -> tuple:
 
 @dataclass(frozen=True)
 class GradedDims:
-    """A finitely supported map degree -> positive dimension."""
+    """A finitely supported map degree -> positive dimension.
+
+    ``GradedDims(...)``, ``from_list`` and every JSON reader pass their rows
+    through ``clean_rows``; only :meth:`_canonical` skips it.
+    """
 
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "entries", clean_rows(self.entries, 2, "dimension"))
+
+    @classmethod
+    def _canonical(cls, entries: tuple[tuple[int, int], ...]) -> "GradedDims":
+        """Wrap rows that are canonical by construction, without ``clean_rows``.
+
+        The caller guarantees what ``clean_rows`` would check and make: a
+        tuple of ``(int, int)`` rows, strictly increasing degrees and
+        positive dimensions.  Only the summing helper of
+        ``bredon.localization`` uses it, for sums of the multiplicities of a
+        validated ``NormalFormModule`` keyed by distinct degrees.
+        """
+        dims = object.__new__(cls)
+        object.__setattr__(dims, "entries", entries)
+        return dims
 
     @staticmethod
     def from_list(dims: Iterable[int]) -> "GradedDims":

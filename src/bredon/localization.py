@@ -12,20 +12,34 @@ forgetful maps, so every operation here is a per-summand bookkeeping rule:
   summand, one regular (swapped-basis) summand per antipodal 0-sphere, and a
   pair of trivial lines in degrees r and r + n for n > 0; ``singular_betti``
   reads its Betti numbers, ``underlying_singular(m).dims()``, directly off
-  the summands, summing them degree by degree in one pass;
+  the summands;
 * the forgetful map hits exactly one line per summand, at its shift degree.
+
+``singular_betti``, ``rho_localize`` and ``forgetful_image_dims`` sum their
+lines degree by degree in one pass and hand the sums to ``_dims_of_sums``,
+which wraps them without a second canonicalisation: sums of a validated
+module's multiplicities under distinct degrees are canonical by
+construction.
 
 Poincare duality for a compact Real n-manifold mirrors the free multiplicity
 map through (p, q) <-> (2n - p, n - q) and the antipodal one through
 (s, t) <-> (2n - s - t, t); ``pd_symmetric`` and ``real_manifold_validate``
 check those symmetries together with the positional bounds they force.
-``real_manifold_validate`` reads each part once: one loop over the free rows
-and one over the antipodal rows give every bound list and the degree-0
-singular dimension.
+Each restriction is stated once, in the generator ``_manifold_failures``,
+which reads each part once (one loop over the free rows and one over the
+antipodal rows give every bound list, the unit rank and the degree-0
+singular dimension) and yields the failures lazily in report order.  It has
+two forms: ``real_manifold_validate``, behind ``bredon validate``, collects
+every failure into its report, and the solver's re-check,
+``_manifold_holds``, stops at the first failure and builds no report
+objects.  ``pd_symmetric``, behind ``bredon pd-check``, reports every
+mirror violation; it and both forms read the violations off
+``_mirror_violations``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .algebra import (
@@ -235,12 +249,29 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+def _dims_of_sums(sums: dict[int, int]) -> GradedDims:
+    """The ``GradedDims`` of a one-pass sum, degree -> total, over the rows of
+    a module: the one place that skips ``clean_rows``.
+
+    Such rows are canonical by construction: the degrees are ``int`` entries
+    of a validated ``NormalFormModule`` (or sums of two), each total adds up
+    positive multiplicities, and the dict keys are distinct, so the sorted
+    items are strictly increasing.  ``GradedDims(...)``, ``from_list`` and
+    the JSON readers still go through ``clean_rows``.
+    """
+    return GradedDims._canonical(tuple(sorted(sums.items())))
+
+
 def rho_localize(module: NormalFormModule) -> GradedDims:
     """Betti numbers of the fixed locus: count free summands by p - q.
 
     Antipodal summands are rho-torsion and contribute nothing.
     """
-    return GradedDims(tuple((p - q, m) for p, q, m in module.free))
+    sums: dict[int, int] = {}
+    get = sums.get
+    for p, q, m in module.free:
+        sums[p - q] = get(p - q, 0) + m
+    return _dims_of_sums(sums)
 
 
 def fixed_poincare_polynomial(module: NormalFormModule) -> UnivariatePolynomial:
@@ -281,20 +312,20 @@ def singular_betti(module: NormalFormModule) -> GradedDims:
     (p, q) gives a line in degree p, an antipodal 0-sphere at r a regular
     summand (two lines) in degree r, and an antipodal n-sphere at r, n > 0,
     a line in degree r and one in degree r + n.  The lines are summed degree
-    by degree in one pass, so the ``GradedDims`` is built from one row per
-    degree rather than one per summand.
+    by degree in one pass, and the sums, canonical by construction, become
+    a ``GradedDims`` without a second canonicalisation (``_dims_of_sums``).
     """
-    dims: dict[int, int] = {}
-    get = dims.get
+    sums: dict[int, int] = {}
+    get = sums.get
     for p, _, m in module.free:
-        dims[p] = get(p, 0) + m
+        sums[p] = get(p, 0) + m
     for r, n, m in module.antipodal:
         if n:
-            dims[r] = get(r, 0) + m
-            dims[r + n] = get(r + n, 0) + m
+            sums[r] = get(r, 0) + m
+            sums[r + n] = get(r + n, 0) + m
         else:
-            dims[r] = get(r, 0) + 2 * m
-    return GradedDims(tuple(dims.items()))
+            sums[r] = get(r, 0) + 2 * m
+    return _dims_of_sums(sums)
 
 
 def forgetful_image_dims(module: NormalFormModule) -> GradedDims:
@@ -304,10 +335,13 @@ def forgetful_image_dims(module: NormalFormModule) -> GradedDims:
     degree; for a free orbit this line is the diagonal of the regular
     summand.
     """
-    return GradedDims(
-        tuple((p, m) for p, _, m in module.free)
-        + tuple((r, m) for r, _, m in module.antipodal)
-    )
+    sums: dict[int, int] = {}
+    get = sums.get
+    for p, _, m in module.free:
+        sums[p] = get(p, 0) + m
+    for r, _, m in module.antipodal:
+        sums[r] = get(r, 0) + m
+    return _dims_of_sums(sums)
 
 
 def homology_dual(module: NormalFormModule) -> HomologyModule:
@@ -322,17 +356,20 @@ def homology_dual(module: NormalFormModule) -> HomologyModule:
     )
 
 
-def pd_symmetric(module: NormalFormModule, dimension: int) -> PdReport:
-    """Check the duality mirror symmetries of both multiplicity maps.
+def _mirror_violations(
+    module: NormalFormModule, n: int
+) -> list[tuple[str, tuple[int, int], tuple[int, int], int, int]]:
+    """Each key whose multiplicity differs from its Poincare mirror's, as
+    ``(part, key, mirror, count, mirror_count)``; empty when both maps are
+    mirror-symmetric.
 
-    A key whose mirrored multiplicity differs is reported once, from the
-    side where the key is actually present.  The free mirror
-    (p, q) -> (2n - p, n - q) reverses the canonical order, so a symmetric
-    free part equals its mirrored rows read backwards; the antipodal mirror
-    does not, so its mirrored rows are sorted.  The multiplicity maps are
-    built only for a part that differs from its mirror.
+    A key is listed once, from the side where it is actually present.  The
+    free mirror (p, q) -> (2n - p, n - q) reverses the canonical order, so a
+    symmetric free part equals its mirrored rows read backwards; the
+    antipodal mirror does not, so its mirrored rows are sorted.  The
+    multiplicity maps are built only for a part that differs from its
+    mirror.
     """
-    n = dimension
     violations = []
     free = module.free
     if free != tuple([(2 * n - p, n - q, m) for p, q, m in reversed(free)]):
@@ -341,7 +378,7 @@ def pd_symmetric(module: NormalFormModule, dimension: int) -> PdReport:
             mirror = (2 * n - p, n - q)
             other = counts.get(mirror, 0)
             if other != count:
-                violations.append(PdViolation("free", (p, q), mirror, count, other))
+                violations.append(("free", (p, q), mirror, count, other))
     anti = module.antipodal
     if anti != tuple(sorted([(2 * n - s - t, t, m) for s, t, m in anti])):
         counts = module.antipodal_map()
@@ -349,38 +386,51 @@ def pd_symmetric(module: NormalFormModule, dimension: int) -> PdReport:
             mirror = (2 * n - s - t, t)
             other = counts.get(mirror, 0)
             if other != count:
-                violations.append(PdViolation("antipodal", (s, t), mirror, count, other))
-    return PdReport(tuple(violations))
+                violations.append(("antipodal", (s, t), mirror, count, other))
+    return violations
 
 
-def real_manifold_validate(
+def pd_symmetric(module: NormalFormModule, dimension: int) -> PdReport:
+    """Check the duality mirror symmetries of both multiplicity maps.
+
+    A key whose mirrored multiplicity differs is reported once, from the
+    side where the key is actually present: free keys first, then
+    antipodal keys, each part in canonical order.
+    """
+    return PdReport(tuple([PdViolation(*v) for v in _mirror_violations(module, dimension)]))
+
+
+def _manifold_failures(
     module: NormalFormModule,
-    dimension: int,
+    n: int,
     has_fixed_point: bool,
     connected: bool,
-) -> ValidationReport:
-    """All restrictions satisfied by a compact Real manifold of that dimension.
+    mirror_keys: tuple[tuple[int, int], ...] | None = None,
+) -> Iterator[tuple[str, tuple[tuple[int, int], ...], str]]:
+    """Yield ``(condition, keys, detail)`` for each failed restriction on a
+    compact Real n-manifold, in report order; the one statement of them.
 
-    Violations are collected exhaustively (one entry per failed condition,
-    listing every offending key) rather than failing fast.
+    The generator is lazy: a caller that stops at the first failure skips
+    the later conditions.  ``mirror_keys`` are the keys of the mirror
+    violations when the caller already has them, else they are read here,
+    last.
     """
-    n = dimension
     top = 2 * n
-    failures: list[ValidationFailure] = []
 
-    # One pass over the free rows: the weight-bound list, and their lines in
-    # degree 0 of underlying_singular (one per row at p = 0).
+    # One pass over the free rows: the weight-bound list, the unit rank at
+    # (0, 0), and their lines in degree 0 of underlying_singular (one per
+    # row at p = 0).
     bad = []
-    b0 = 0
+    b0 = units = 0
     for p, q, m in module.free:
         if q > n:
             bad.append((p, q))
         if p == 0:
             b0 += m
+            if q == 0:
+                units = m
     if bad:
-        failures.append(
-            ValidationFailure("free_weight_bound", tuple(bad), f"requires q <= {n}")
-        )
+        yield "free_weight_bound", tuple(bad), f"requires q <= {n}"
 
     # One pass over the antipodal rows: the three bound lists, and their
     # lines in degree 0 of underlying_singular (at r and at r + n; keys
@@ -398,52 +448,61 @@ def real_manifold_validate(
                 b0 += m
         if end == 0:
             b0 += m
-
     if span:
-        failures.append(
-            ValidationFailure("antipodal_span_bound", tuple(span), f"requires r + n <= {top}")
-        )
+        yield "antipodal_span_bound", tuple(span), f"requires r + n <= {top}"
 
     if has_fixed_point:
         if shift:
-            failures.append(
-                ValidationFailure(
-                    "antipodal_positive_shift", tuple(shift), "fixed point forces r > 0"
-                )
-            )
+            yield "antipodal_positive_shift", tuple(shift), "fixed point forces r > 0"
         if strict:
-            failures.append(
-                ValidationFailure(
-                    "antipodal_span_strict", tuple(strict), f"fixed point forces r + n < {top}"
-                )
-            )
-        if connected and (units := module.free_rank(0, 0)) != 1:
-            failures.append(
-                ValidationFailure(
-                    "unit_rank",
-                    ((0, 0),),
-                    f"connected with a fixed point forces one free summand at "
-                    f"(0, 0), found {units}",
-                )
+            yield "antipodal_span_strict", tuple(strict), f"fixed point forces r + n < {top}"
+        if connected and units != 1:
+            yield (
+                "unit_rank",
+                ((0, 0),),
+                f"connected with a fixed point forces one free summand at "
+                f"(0, 0), found {units}",
             )
 
-    if connected:
-        # b0 is underlying_singular(module).dimension(0)
-        if b0 != 1:
-            failures.append(
-                ValidationFailure(
-                    "connected_b0", (), f"degree-0 singular dimension is {b0}, not 1"
-                )
-            )
+    # b0 is underlying_singular(module).dimension(0)
+    if connected and b0 != 1:
+        yield "connected_b0", (), f"degree-0 singular dimension is {b0}, not 1"
 
-    pd = pd_symmetric(module, n)
-    if not pd.holds:
-        failures.append(
-            ValidationFailure(
-                "pd_symmetry",
-                tuple(v.key for v in pd.violations),
-                "multiplicity maps are not mirror-symmetric",
-            )
-        )
+    if mirror_keys is None:
+        mirror_keys = tuple([v[1] for v in _mirror_violations(module, n)])
+    if mirror_keys:
+        yield "pd_symmetry", mirror_keys, "multiplicity maps are not mirror-symmetric"
 
-    return ValidationReport(tuple(failures), pd)
+
+def real_manifold_validate(
+    module: NormalFormModule,
+    dimension: int,
+    has_fixed_point: bool,
+    connected: bool,
+) -> ValidationReport:
+    """All restrictions satisfied by a compact Real manifold of that dimension.
+
+    The exhaustive form, behind ``bredon validate``: every failed condition
+    is collected, one entry each listing every offending key, together with
+    the ``pd_symmetric`` report.  The solver's re-check uses the fail-fast
+    form of the same conditions, ``_manifold_holds``, which builds no
+    report objects.
+    """
+    pd = pd_symmetric(module, dimension)
+    mirror_keys = tuple([v.key for v in pd.violations])
+    failures = _manifold_failures(module, dimension, has_fixed_point, connected, mirror_keys)
+    return ValidationReport(tuple([ValidationFailure(*f) for f in failures]), pd)
+
+
+def _manifold_holds(
+    module: NormalFormModule,
+    dimension: int,
+    has_fixed_point: bool,
+    connected: bool,
+) -> bool:
+    """``real_manifold_validate(...).passed``, failing fast: it stops at the
+    first failed condition of ``_manifold_failures`` and builds no report
+    objects.  The solver's re-check uses it."""
+    for _ in _manifold_failures(module, dimension, has_fixed_point, connected):
+        return False
+    return True

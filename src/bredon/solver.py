@@ -80,7 +80,11 @@ open until the antipodal slots (522 states for the Betti-only K3, against
 Every module the search produces is re-checked through the public
 localization and classification operations before it is returned, so the
 output is sound by construction; on the exhaustive box sweeps of the tests
-the re-check rejects none, under every class filter.  The search offers
+the re-check rejects none, under every class filter.  Under duality it
+checks the manifold conditions in their fail-fast form, which stops at the
+first failure and builds no report objects; ``bredon validate`` and
+``bredon pd-check`` use the exhaustive form of the same conditions and
+report every failure.  The search offers
 only keys in a box: free weights q <= n and, with ``has_fixed_point``,
 antipodal shifts r >= 1 with r + t <= 2n - 1.  The re-check enforces these
 bounds only under duality, so without it the box can leave out modules
@@ -103,8 +107,8 @@ from .algebra import GradedDims, NormalFormModule, make_module
 from .classification import MaximalityClass, classify
 from .exceptions import ConstraintViolation, InfeasibleBounds, SchemaError, SearchTooLarge
 from .localization import (
+    _manifold_holds,
     forgetful_image_dims,
-    real_manifold_validate,
     rho_localize,
     singular_betti,
 )
@@ -247,16 +251,20 @@ class ConstraintSet:
 
 
 def satisfies_constraints(cs: ConstraintSet, module: NormalFormModule) -> bool:
-    """Re-check a module against every constraint via the public operations."""
+    """Re-check a module against every constraint via the public operations.
+
+    The manifold conditions of duality are checked in their fail-fast form
+    (``_manifold_holds``), which agrees with
+    ``real_manifold_validate(...).passed`` but stops at the first failure
+    and builds no report objects.
+    """
     n = cs.dimension
     if singular_betti(module) != cs.betti_total:
         return False
     if cs.betti_fixed is not None and rho_localize(module) != cs.betti_fixed:
         return False
-    if cs.poincare_dual:
-        report = real_manifold_validate(module, n, cs.has_fixed_point, cs.connected)
-        if not report.passed:
-            return False
+    if cs.poincare_dual and not _manifold_holds(module, n, cs.has_fixed_point, cs.connected):
+        return False
     if cs.forgetful_onto_degrees:
         image = forgetful_image_dims(module)
         for degree in cs.forgetful_onto_degrees:

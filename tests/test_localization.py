@@ -22,6 +22,7 @@ from bredon import (
     tau_localize,
     underlying_singular,
 )
+from bredon.localization import _manifold_holds
 from bredon.serialize import canonical_dumps
 
 free_entries = st.lists(
@@ -331,6 +332,55 @@ def test_graded_dims_helpers():
     assert dims.shift(2).items() == ((2, 1), (4, 3))
     assert GradedDims.from_list([0, 0, 5]).items() == ((2, 5),)
     assert dims.alternating_sum() == 4
+
+
+def test_summed_dims_are_canonical(module_corpus):
+    """The sums wrapped without ``clean_rows`` equal the same lines, one row
+    per summand line, canonicalised through ``GradedDims(rows)``."""
+    for m in list(module_corpus) + negative_shift_modules():
+        lines = {
+            singular_betti: [(p, c) for p, _, c in m.free]
+            + [(r, 2 * c) for r, n, c in m.antipodal if n == 0]
+            + [(d, c) for r, n, c in m.antipodal if n for d in (r, r + n)],
+            rho_localize: [(p - q, c) for p, q, c in m.free],
+            forgetful_image_dims: [(p, c) for p, _, c in m.free]
+            + [(r, c) for r, _, c in m.antipodal],
+        }
+        for fn, rows in lines.items():
+            dims = fn(m)
+            assert type(dims) is GradedDims and type(dims.entries) is tuple
+            assert dims.entries == GradedDims(rows).entries, (fn.__name__, m)
+
+
+def test_fail_fast_manifold_check_matches_report(module_corpus):
+    """The re-check's fail-fast form agrees with the exhaustive report on
+    every module of the golden corpus, for n = 1..4 and every flag pair
+    (19,680 cases), and again on each module summed with its Poincare
+    mirror, where ``pd_symmetry`` holds and the other conditions decide."""
+
+    def agree(module, n):
+        for fixed_point in (False, True):
+            for connected in (False, True):
+                passed = real_manifold_validate(module, n, fixed_point, connected).passed
+                assert _manifold_holds(module, n, fixed_point, connected) is passed
+                counts[passed] += 1
+
+    counts = {False: 0, True: 0}
+    modules = list(module_corpus) + negative_shift_modules()
+    for module in modules:
+        for n in range(1, 5):
+            agree(module, n)
+    assert counts == {False: 19_491, True: 189}
+    for module in modules:
+        for n in range(1, 5):
+            mirrored = NormalFormModule(
+                module.free + tuple((2 * n - p, n - q, c) for p, q, c in module.free),
+                module.antipodal
+                + tuple((2 * n - s - t, t, c) for s, t, c in module.antipodal),
+            )
+            assert pd_symmetric(mirrored, n).holds
+            agree(mirrored, n)
+    assert counts == {False: 19_491 + 19_216, True: 189 + 464}
 
 
 def test_singular_betti_is_underlying_singular_dims(module_corpus):

@@ -18,6 +18,7 @@ from bredon import (
     enumerate_decompositions,
     forgetful_image_dims,
     krasnov_predict,
+    make_module,
     real_manifold_validate,
     rho_localize,
     satisfies_constraints,
@@ -404,6 +405,34 @@ def test_one_singular_computation_per_candidate(monkeypatch):
     )
     enumerate_decompositions(cs)
     assert counts == {"singular_betti": 10, "underlying_singular": 0, "candidates": 10}
+
+
+def test_recheck_builds_no_report_objects(monkeypatch):
+    """The duality re-check fails fast through the shared conditions and
+    builds no PdReport, ValidationReport or PdViolation per candidate."""
+    import bredon.localization
+
+    counts = Counter()
+    for name in ("PdReport", "ValidationReport", "PdViolation"):
+        cls = getattr(bredon.localization, name)
+
+        def counted(self, *args, _init=cls.__init__, _name=name, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    cs = ConstraintSet(
+        dimension=2,
+        betti_total=GradedDims.from_list([1, 0, 6, 0, 1]),
+        has_fixed_point=True,
+        connected=True,
+        poincare_dual=True,
+    )
+    assert len(enumerate_decompositions(cs)) == 10
+    assert counts == Counter()
+    # the counters do see the exhaustive form
+    real_manifold_validate(make_module([(0, 0, 2)]), 2, True, True)
+    assert counts == Counter({"PdReport": 1, "ValidationReport": 1, "PdViolation": 1})
 
 
 def test_first_candidate_is_fast(monkeypatch):
