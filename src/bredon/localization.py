@@ -405,15 +405,12 @@ def _manifold_failures(
     n: int,
     has_fixed_point: bool,
     connected: bool,
-    mirror_keys: tuple[tuple[int, int], ...] | None = None,
 ) -> Iterator[tuple[str, tuple[tuple[int, int], ...], str]]:
     """Yield ``(condition, keys, detail)`` for each failed restriction on a
     compact Real n-manifold, in report order; the one statement of them.
 
     The generator is lazy: a caller that stops at the first failure skips
-    the later conditions.  ``mirror_keys`` are the keys of the mirror
-    violations when the caller already has them, else they are read here,
-    last.
+    the later conditions, the mirror violations, read last, among them.
     """
     top = 2 * n
 
@@ -468,8 +465,7 @@ def _manifold_failures(
     if connected and b0 != 1:
         yield "connected_b0", (), f"degree-0 singular dimension is {b0}, not 1"
 
-    if mirror_keys is None:
-        mirror_keys = tuple([v[1] for v in _mirror_violations(module, n)])
+    mirror_keys = tuple([v[1] for v in _mirror_violations(module, n)])
     if mirror_keys:
         yield "pd_symmetry", mirror_keys, "multiplicity maps are not mirror-symmetric"
 
@@ -489,8 +485,7 @@ def real_manifold_validate(
     report objects.
     """
     pd = pd_symmetric(module, dimension)
-    mirror_keys = tuple([v.key for v in pd.violations])
-    failures = _manifold_failures(module, dimension, has_fixed_point, connected, mirror_keys)
+    failures = _manifold_failures(module, dimension, has_fixed_point, connected)
     return ValidationReport(tuple([ValidationFailure(*f) for f in failures]), pd)
 
 

@@ -7,7 +7,9 @@ every normal form consistent with the data, in canonical order, and
 singular Betti numbers: a free summand at (p, q) one unit in degree p (and
 one fixed-locus unit in degree p - q), an antipodal 0-sphere at shift r two
 units in degree r, a positive antipodal n-sphere one unit in degree r and
-one in degree r + n.
+one in degree r + n.  The plan does not restate these rules: it reads them
+off ``singular_betti`` and ``rho_localize`` of the module holding one copy
+of each key of an orbit.
 
 **Orbit charging.**  Under Poincare duality the multiplicity maps are
 mirror-symmetric, so the search picks a multiplicity for one representative
@@ -17,23 +19,28 @@ Every orbit's units lie at or above its representative's degree, so the
 search walks degrees up to n under duality and up to 2n otherwise.  At each
 degree the units still left there must be used up exactly, and the units
 charged to higher degrees and to the fixed locus must stay within their
-budgets.  Keys the forgetful or class rules forbid are never offered.
+budgets.  An orbit's units, admissibility and class effect all come from
+its one-copy module through the public operations, and this is exact:
+every invariant the search constrains (singular and fixed-locus Betti
+numbers, forgetful image, class) is additive over summands, where a sum's
+class is the greatest class of its parts in the order M < GM < NEITHER.
+So an orbit is offered only if its forgetful image equals its singular
+Betti numbers in every forgetful degree (in each degree a summand's image
+is at most its singular dimension) and its class is at most the filter.
 
 **Search DAG.**  Every exact-sum constraint is a named budget, and the
 search holds only the budgets that start positive: the singular Betti
 number of each degree the data names, the fixed-locus one of each fixed
-degree it names when the fixed locus is given, and, under the class filters
-GALOIS_MAXIMAL_ONLY and NEITHER, the class entry.  It starts at 1, meaning
-the antipodal summand the class needs is still missing (any for
-GALOIS_MAXIMAL_ONLY, which is offered only 0-spheres; one of positive
-sphere dimension for NEITHER), and a copy of a summand of that kind clears
-it to 0; it is not charged per copy and bounds no multiplicity.  MAXIMAL
-needs no entry, since it is offered no antipodal key.  The plan is built
-from the data and alone names and orders the budgets.  Budgets only go
-down, so an orbit representative becomes a slot only when every budget it
-charges is named; the plan, the budget list and every search state
-therefore grow with the data rather than with n.  The slots form one list
-in two parts: every free orbit first, in degree order and then weight
+degree it names when the fixed locus is given, and, when the empty module
+is not of the filter's class (GALOIS_MAXIMAL_ONLY and NEITHER), the class
+entry.  It starts at 1, meaning no part of the filter's class is chosen
+yet, and a copy of an orbit whose one-copy module is of that class clears
+it to 0; it is not charged per copy and bounds no multiplicity.  The plan
+is built from the data and alone names and orders the budgets.  Budgets
+only go down, so an orbit representative becomes a slot only when every
+budget it charges is named; the plan, the budget list and every search
+state therefore grow with the data rather than with n.  The slots form one
+list in two parts: every free orbit first, in degree order and then weight
 order, then every antipodal orbit, in degree order and then
 sphere-dimension order.  What can still happen from slot i on depends only
 on the state ``(i, budgets)``, and every edge leads to a later slot, so the
@@ -96,8 +103,6 @@ search is single-threaded.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
@@ -275,12 +280,6 @@ def satisfies_constraints(cs: ConstraintSet, module: NormalFormModule) -> bool:
     return True
 
 
-# The least sphere dimension t of the antipodal summand a class filter needs
-# at least one of: any for GALOIS_MAXIMAL_ONLY (whose search offers only
-# t = 0), a positive one for NEITHER.  MAXIMAL needs none and is offered no
-# antipodal key.
-_NEEDED_SPHERE = {MaximalityClass.GALOIS_MAXIMAL_ONLY: 0, MaximalityClass.NEITHER: 1}
-
 # The most search states, (slot, budgets) pairs, one search may hold.
 _MAX_STATES = 1 << 16
 
@@ -377,7 +376,8 @@ def iter_decompositions(cs: ConstraintSet) -> Iterator[NormalFormModule]:
 
     # The walk, in canonical order (module docstring).  An entry is a state
     # (None once complete), the rows set so far and the rank of the highest
-    # key among them; a state's choices are pushed last first.  A state's
+    # key among them; a state's choices are pushed last first, with its exit
+    # just before the first choice whose key is below that rank.  A state's
     # walk record is built at its first visit.  A forced state, one choice
     # and no exit, is followed in place.
     records = {}
@@ -388,21 +388,21 @@ def iter_decompositions(cs: ConstraintSet) -> Iterator[NormalFormModule]:
             record = records.get(id(state))
             if record is None:
                 record = records[id(state)] = _walk_record(state, slots)
-            keys, segments, leave = record
+            segments, leave = record
             if leave is False and len(segments) == 1:
-                free_seg, anti_seg, state, top = segments[0]
+                _, free_seg, anti_seg, state, top = segments[0]
                 free += free_seg
                 anti += anti_seg
                 if top > high:
                     high = top
                 continue
-            above = len(keys) - bisect_left(keys, high)
-            for free_seg, anti_seg, child, top in segments[:above]:
-                stack.append((child, free + free_seg, anti + anti_seg, top))
+            for key, free_seg, anti_seg, child, top in segments:
+                if key < high and leave is not False:
+                    stack.append((leave, free, anti, high))
+                    leave = False
+                stack.append((child, free + free_seg, anti + anti_seg, top if top > high else high))
             if leave is not False:
                 stack.append((leave, free, anti, high))
-            for free_seg, anti_seg, child, top in segments[above:]:
-                stack.append((child, free + free_seg, anti + anti_seg, top if top > high else high))
             break
         else:  # the path is complete
             if satisfies_constraints(cs, module := make_module(free, anti)):
@@ -410,19 +410,19 @@ def iter_decompositions(cs: ConstraintSet) -> Iterator[NormalFormModule]:
 
 
 def _walk_record(state, slots):
-    """The choices of a live state, as (keys, segments, leave).
+    """The choices of a live state, as (segments, leave).
 
     Following the state's edges for 0 copies while they stay in its part
     (free or antipodal), each live edge for c >= 1 copies is one segment
-    ``(free rows, antipodal rows, child, top)``: the child is None when it
-    completes, and top is the rank of the highest key the segment sets.
-    ``keys`` lists the ranks of the segments' slot keys in increasing order
-    and ``segments`` lists the segments in decreasing order, the order in
-    which the walk pushes them.  ``leave`` is the state where the 0-copy
-    chain leaves the part: None when it completes, False when it dies.
+    ``(key, free rows, antipodal rows, child, top)``, one of the row tuples
+    empty: key is the rank of the slot's least key, the child is None when
+    it completes, and top is the rank of the highest key the segment sets.
+    ``segments`` lists the segments in decreasing order, the order in which
+    the walk pushes them.  ``leave`` is the state where the 0-copy chain
+    leaves the part: None when it completes, False when it dies.
     """
     end = len(slots)
-    keys, segments = [], []
+    segments = []
     j = state[0]
     free_part = j < end and bool(slots[j][1])
     while j < end:
@@ -432,20 +432,18 @@ def _walk_record(state, slots):
         for c in range(1, len(state) - 1):
             child = state[c + 1]
             if child:
-                keys.append(key)
                 if len(child) == 1:  # [end]
                     child = None
-                if free_part:
-                    segments.append((tuple([(p, q, c) for p, q in free_keys]), (), child, top))
-                else:
-                    segments.append(((), tuple([(r, t, c) for r, t in anti_keys]), child, top))
+                free_rows = tuple([(p, q, c) for p, q in free_keys])
+                anti_rows = tuple([(r, t, c) for r, t in anti_keys])
+                segments.append((key, free_rows, anti_rows, child, top))
         state = state[1]
         if not state:
             segments.reverse()
-            return keys, segments, False
+            return segments, False
         j = state[0]
     segments.reverse()
-    return keys, segments, None if j == end else state
+    return segments, None if j == end else state
 
 
 @lru_cache(maxsize=64)
@@ -456,33 +454,48 @@ def _orbit_plan(n, betti, fixed, poincare_dual, has_fixed_point, forgetful, klas
     ``betti`` and ``fixed`` are the degrees where the singular and the
     fixed-locus Betti numbers are positive, ``fixed`` None when the fixed
     locus is not given.  The budgets are named ``("betti", d)``,
-    ``("fixed", f)`` and, when the class filter needs an antipodal summand,
-    ``("class", None)``, last; slots refer to a budget by its place in the
-    names.  Orbit representatives of the Betti degrees up to n under duality
-    (2n otherwise) are slots, but only those whose every charged budget is
-    named: budgets only go down, so no other could take a copy.  With the
-    fixed locus given, the free weights of degree d are d - f for its
-    degrees f.  The free slots come first, in degree and then weight order,
-    then the antipodal ones, in degree and then sphere-dimension order.  A
-    slot is ``(charges, free_keys, antipodal_keys, clears, least, most,
-    after)``: the (budget, units) pairs one copy of the orbit uses, starting
-    with its own degree, the keys it sets, whether a copy of it clears the
-    class entry (its keys are of the kind the class needs), the ranks of its
-    least and greatest key, and the index of the first slot of the next
-    degree in its part.  The class entry is not charged per copy and bounds
-    no multiplicity.  Keys the forgetful or class rules forbid are left out.
-    ``closing[i]`` lists the budgets that must be spent by slot i: those
-    last charged (or, for the class entry, cleared) at slot i - 1 or in the
-    degree before slot i (the jump target of a spent degree), and, at
-    i = 0, those no slot charges or clears.
+    ``("fixed", f)`` and, when the empty module is not of the filter's
+    class, ``("class", None)``, last; slots refer to a budget by its place
+    in the names.  Orbit representatives of the Betti degrees up to n under
+    duality (2n otherwise) are candidates; with the fixed locus given, the
+    free weights of degree d are d - f for its degrees f.
+
+    Each candidate's rules are read off ``one``, the module holding one
+    copy of each key of the orbit, through the public operations; this is
+    exact because every invariant the search constrains is additive over
+    summands.  Its units are ``singular_betti(one)`` and, with the fixed
+    locus given, ``rho_localize(one)``, its own degree first since the
+    representative is the least key.  It becomes a slot only if every unit
+    names a budget (budgets only go down, so no other could take a copy),
+    if ``forgetful_image_dims(one)`` equals ``singular_betti(one)`` in every
+    forgetful degree (in each degree a summand's image is at most its
+    singular dimension, so a sum is onto exactly when each part is), and if
+    ``classify(one)`` is at most the filter in the order M < GM < NEITHER
+    (a sum's class is the greatest class of its parts).  A copy clears the
+    class entry when ``classify(one)`` is the filter's class.
+
+    The free slots come first, in degree and then weight order, then the
+    antipodal ones, in degree and then sphere-dimension order.  A slot is
+    ``(charges, free_keys, antipodal_keys, clears, least, most, after)``:
+    the (budget, units) pairs one copy of the orbit uses, starting with its
+    own degree, the keys it sets, whether a copy of it clears the class
+    entry, the ranks of its least and greatest key, and the index of the
+    first slot of the next degree in its part.  The class entry is not
+    charged per copy and bounds no multiplicity.  ``closing[i]`` lists the
+    budgets that must be spent by slot i: those last charged (or, for the
+    class entry, cleared) at slot i - 1 or in the degree before slot i (the
+    jump target of a spent degree), and, at i = 0, those no slot charges
+    or clears.
     """
     top = 2 * n
     last = n if poincare_dual else top
     min_shift = 1 if has_fixed_point else 0
     span_cap = top - 1 if has_fixed_point else top
-    needed = _NEEDED_SPHERE.get(klass)
+    classes = list(MaximalityClass)  # M < GM < NEITHER
+    allowed = classes if klass is None else classes[: classes.index(klass) + 1]
+    entry = klass is not None and classify(NormalFormModule.zero()) is not klass
     names = [("betti", d) for d in betti] + [("fixed", f) for f in fixed or ()]
-    names += [("class", None)] if needed is not None else []
+    names += [("class", None)] if entry else []
     index = {name: e for e, name in enumerate(names)}
 
     def orbit(key, mirror):
@@ -501,13 +514,11 @@ def _orbit_plan(n, betti, fixed, poincare_dual, has_fixed_point, forgetful, klas
                 yield keys, ()
 
     def antipodal_orbits(d):
-        if d < min_shift or klass is MaximalityClass.MAXIMAL:
+        if d < min_shift:
             return
         for t in (e - d for e in betti if d <= e <= span_cap):
             keys = orbit((d, t), (top - d - t, t))
-            if not keys or t and klass is MaximalityClass.GALOIS_MAXIMAL_ONLY:
-                continue
-            if all(r + span not in forgetful for r, span in keys):
+            if keys:
                 yield (), keys
 
     def rank(key, free):
@@ -523,18 +534,21 @@ def _orbit_plan(n, betti, fixed, poincare_dual, has_fixed_point, forgetful, klas
                 break
             kept = []
             for free_keys, anti_keys in orbits(d):
-                # the name of every unit one copy of the orbit uses, its own
-                # degree first
-                units = [("betti", p) for p, _ in free_keys]
-                for r, t in anti_keys:
-                    units += [("betti", r), ("betti", r + t)]
+                # one copy of each key of the orbit (docstring)
+                one = NormalFormModule(tuple([(p, q, 1) for p, q in free_keys]),
+                                       tuple([(r, t, 1) for r, t in anti_keys]))
+                lines = singular_betti(one)
+                units = [(("betti", e), k) for e, k in lines.items()]
                 if fixed is not None:
-                    units += [("fixed", p - q) for p, q in free_keys]
-                if all(u in index for u in units):
-                    clears = needed is not None and any(t >= needed for _, t in anti_keys)
-                    charges = tuple((index[u], k) for u, k in Counter(units).items())
+                    units += [(("fixed", f), k) for f, k in rho_localize(one).items()]
+                one_class = classify(one)
+                if (all(u in index for u, _ in units) and one_class in allowed
+                        and all(forgetful_image_dims(one).get(e) == lines.get(e)
+                                for e in forgetful)):
+                    charges = tuple([(index[u], k) for u, k in units])
                     keys = free_keys or anti_keys
                     least, most = rank(keys[0], free_keys), rank(keys[-1], free_keys)
+                    clears = entry and one_class is klass
                     kept.append((charges, free_keys, anti_keys, clears, least, most))
             after = len(slots) + len(kept)
             slots += [(*slot, after) for slot in kept]

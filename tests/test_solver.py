@@ -137,39 +137,44 @@ def test_completeness_against_brute_force():
     assert nonempty >= 10  # the comparison must not be vacuous
 
 
-def _box_constraints(boxes=((1, 3), (2, 2)), fixed_lists=(None,)):
+def _box_constraints(boxes=((1, 3), (2, 2)), fixed_lists=(None,), onto=False):
     """Every constraint set of a small box, for the exhaustive sweeps.
 
     For each ``(n, entry cap)`` box: Betti entries up to the cap with total
     1..4; every fixed-locus Betti list of ``fixed_lists``; every duality and
-    fixed-point flag, connectedness whenever b0 = 1; every class filter.
-    Sets that ``ConstraintSet`` rejects are skipped, among them every
-    fixed-point flag that its fixed-locus list contradicts.
+    fixed-point flag, connectedness whenever b0 = 1; every class filter;
+    with ``onto``, every nonempty subset of the Betti support as the
+    forgetful degrees, else none.  Sets that ``ConstraintSet`` rejects are
+    skipped, among them every fixed-point flag that its fixed-locus list
+    contradicts.
     """
     for n, entry_cap in boxes:
         for betti in itertools.product(range(entry_cap + 1), repeat=2 * n + 1):
             if not 1 <= sum(betti) <= 4:
                 continue
-            for pd, fixed_point in itertools.product((False, True), repeat=2):
-                for connected in (False, True) if betti[0] == 1 else (False,):
-                    for fixed in fixed_lists:
-                        for class_filter in (None, M, GM, NEITHER):
-                            try:
-                                cs = ConstraintSet(
-                                    dimension=n,
-                                    betti_total=GradedDims.from_list(betti),
-                                    betti_fixed=(
-                                        None if fixed is None
-                                        else GradedDims.from_list(fixed)
-                                    ),
-                                    has_fixed_point=fixed_point,
-                                    connected=connected,
-                                    poincare_dual=pd,
-                                    class_filter=class_filter,
-                                )
-                            except ConstraintViolation:
-                                continue
-                            yield cs
+            support = [d for d, b in enumerate(betti) if b]
+            onto_lists = [
+                frozenset(c) for size in range(1, len(support) + 1)
+                for c in itertools.combinations(support, size)
+            ] if onto else [None]
+            for pd, fixed_point, connected, fixed, class_filter, onto_degrees in itertools.product(
+                (False, True), (False, True), (False, True) if betti[0] == 1 else (False,),
+                fixed_lists, (None, M, GM, NEITHER), onto_lists,
+            ):
+                try:
+                    cs = ConstraintSet(
+                        dimension=n,
+                        betti_total=GradedDims.from_list(betti),
+                        betti_fixed=None if fixed is None else GradedDims.from_list(fixed),
+                        has_fixed_point=fixed_point,
+                        connected=connected,
+                        poincare_dual=pd,
+                        forgetful_onto_degrees=onto_degrees,
+                        class_filter=class_filter,
+                    )
+                except ConstraintViolation:
+                    continue
+                yield cs
 
 
 def _sweep_against_brute_force(constraint_sets):
@@ -195,6 +200,19 @@ def test_exhaustive_fixed_box_against_brute_force():
     fixed_lists = list(itertools.product(range(3), repeat=2))
     sets = _box_constraints(boxes=((1, 3),), fixed_lists=fixed_lists)
     assert _sweep_against_brute_force(sets) == (2952, 202)
+
+
+def test_exhaustive_forgetful_box_against_brute_force(monkeypatch):
+    """n = 1 with every nonempty subset of the Betti support as the
+    forgetful degrees: the plan's forgetful rule, read off each orbit's
+    one-copy module, offers exactly the orbits whose every copy the
+    re-check can accept, so the search equals the oracle and every module
+    it materializes passes."""
+    made = _count_candidates(monkeypatch)
+    sets = list(_box_constraints(boxes=((1, 3),), onto=True))
+    assert _sweep_against_brute_force(sets) == (2096, 751)
+    candidates = len(made)
+    assert sum(len(enumerate_decompositions(cs)) for cs in sets) == candidates == 3000
 
 
 def _count_candidates(monkeypatch):
@@ -373,12 +391,24 @@ def test_recheck_rejects_each_failed_condition(condition, n, betti, fixed, onto,
 
 def test_one_singular_computation_per_candidate(monkeypatch):
     """The re-check computes the singular Betti numbers once per candidate,
-    through singular_betti, and never builds the whole singular space."""
+    through singular_betti, and never builds the whole singular space.
+
+    The plan also reads each orbit's units off singular_betti, so it is
+    built (and cached) before the counting starts: the count is then the
+    same whether or not an earlier test built it."""
     import sys
 
     import bredon.localization
     import bredon.solver
 
+    cs = ConstraintSet(
+        dimension=2,
+        betti_total=GradedDims.from_list([1, 0, 6, 0, 1]),
+        has_fixed_point=True,
+        connected=True,
+        poincare_dual=True,
+    )
+    enumerate_decompositions(cs)
     counts = {"singular_betti": 0, "underlying_singular": 0, "candidates": 0}
     recheck = bredon.solver.satisfies_constraints
 
@@ -396,13 +426,6 @@ def test_one_singular_computation_per_candidate(monkeypatch):
             if key.partition(".")[0] == "bredon" and vars(namespace).get(name) is original:
                 monkeypatch.setattr(namespace, name, wrapper)
     monkeypatch.setattr(bredon.solver, "satisfies_constraints", counted("candidates", recheck))
-    cs = ConstraintSet(
-        dimension=2,
-        betti_total=GradedDims.from_list([1, 0, 6, 0, 1]),
-        has_fixed_point=True,
-        connected=True,
-        poincare_dual=True,
-    )
     enumerate_decompositions(cs)
     assert counts == {"singular_betti": 10, "underlying_singular": 0, "candidates": 10}
 
