@@ -32,7 +32,9 @@ singular dimension) and yields the failures lazily in report order.  It has
 two forms: ``real_manifold_validate``, behind ``bredon validate``, collects
 every failure into its report, and the solver's re-check,
 ``_manifold_holds``, stops at the first failure and builds no report
-objects.  ``pd_symmetric``, behind ``bredon pd-check``, reports every
+objects.  The solver's plan reads its key box off the same generator, as
+the positional failures of each orbit's one-copy module.
+``pd_symmetric``, behind ``bredon pd-check``, reports every
 mirror violation; it and both forms read the violations off
 ``_mirror_violations``.
 """

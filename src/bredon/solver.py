@@ -15,9 +15,10 @@ of each key of an orbit.
 mirror-symmetric, so the search picks a multiplicity for one representative
 per mirror orbit, the least key of ``{key, mirror}``, and charges every unit
 of the whole orbit at once; without duality every orbit is a single key.
-Every orbit's units lie at or above its representative's degree, so the
-search walks degrees up to n under duality and up to 2n otherwise.  At each
-degree the units still left there must be used up exactly, and the units
+Every orbit's units lie at or above its representative's degree.  Under
+duality a key above degree n is never the least key of its orbit, so every
+representative lies at degree n or below, with no separate degree cut.  At
+each degree the units still left there must be used up exactly, and the units
 charged to higher degrees and to the fixed locus must stay within their
 budgets.  An orbit's units, admissibility and class effect all come from
 its one-copy module through the public operations, and this is exact:
@@ -91,12 +92,18 @@ the re-check rejects none, under every class filter.  Under duality it
 checks the manifold conditions in their fail-fast form, which stops at the
 first failure and builds no report objects; ``bredon validate`` and
 ``bredon pd-check`` use the exhaustive form of the same conditions and
-report every failure.  The search offers
-only keys in a box: free weights q <= n and, with ``has_fixed_point``,
-antipodal shifts r >= 1 with r + t <= 2n - 1.  The re-check enforces these
-bounds only under duality, so without it the box can leave out modules
-that meet the constraints: n=1 ``[1,0,1]`` without flags omits
-``M2[0,0] + M2[2,2]``, and n=1 ``[2,1,0]`` with a fixed point omits
+report every failure.
+
+**The key box.**  The plan reads its box off the same conditions: it
+offers an orbit only if its one-copy module fails none of them but the
+mirror symmetry, with connectedness left out, and a one-copy mirror orbit
+is mirror-symmetric by construction.  Under duality this is what the
+re-check demands, so nothing is left out.  Without duality it is the box
+of FORMATS.md ("solve"): free weights q <= n and, with
+``has_fixed_point``, antipodal shifts r >= 1 with r + t <= 2n - 1.  The
+re-check does not enforce these bounds without duality, so the box can
+leave out modules that meet the constraints: n=1 ``[1,0,1]`` without flags
+omits ``M2[0,0] + M2[2,2]``, and n=1 ``[2,1,0]`` with a fixed point omits
 ``M2[0,0] + A1[0]``.  Within the box the pruning only affects speed.  The
 search is single-threaded.
 """
@@ -112,6 +119,7 @@ from .algebra import GradedDims, NormalFormModule, make_module
 from .classification import MaximalityClass, classify
 from .exceptions import ConstraintViolation, InfeasibleBounds, SchemaError, SearchTooLarge
 from .localization import (
+    _manifold_failures,
     _manifold_holds,
     forgetful_image_dims,
     rho_localize,
@@ -456,9 +464,17 @@ def _orbit_plan(n, betti, fixed, poincare_dual, has_fixed_point, forgetful, klas
     locus is not given.  The budgets are named ``("betti", d)``,
     ``("fixed", f)`` and, when the empty module is not of the filter's
     class, ``("class", None)``, last; slots refer to a budget by its place
-    in the names.  Orbit representatives of the Betti degrees up to n under
-    duality (2n otherwise) are candidates; with the fixed locus given, the
-    free weights of degree d are d - f for its degrees f.
+    in the names.
+
+    The candidate keys come from the CW box over the Betti degrees: at each
+    Betti degree d, free keys of weight 0..d, or of weight d - f for each
+    fixed degree f <= d when the fixed locus is given, and antipodal keys
+    whose span ends at a Betti degree.  A candidate stands for its orbit
+    (its mirror too, under duality) only when it is the orbit's least key.
+    Right after its one-copy module ``one`` is built, the orbit is dropped
+    unless every failure of ``_manifold_failures(one, n, has_fixed_point,
+    False)`` is ``pd_symmetry``: the positional conditions of a compact
+    Real n-manifold are the box (module docstring).
 
     Each candidate's rules are read off ``one``, the module holding one
     copy of each key of the orbit, through the public operations; this is
@@ -480,7 +496,9 @@ def _orbit_plan(n, betti, fixed, poincare_dual, has_fixed_point, forgetful, klas
     the (budget, units) pairs one copy of the orbit uses, starting with its
     own degree, the keys it sets, whether a copy of it clears the class
     entry, the ranks of its least and greatest key, and the index of the
-    first slot of the next degree in its part.  The class entry is not
+    first slot of the next degree in its part.  The ranks are the places of
+    the keys among all keys of the plan, sorted as ``sort_key`` sorts rows,
+    with every free key below every antipodal one.  The class entry is not
     charged per copy and bounds no multiplicity.  ``closing[i]`` lists the
     budgets that must be spent by slot i: those last charged (or, for the
     class entry, cleared) at slot i - 1 or in the degree before slot i (the
@@ -488,9 +506,6 @@ def _orbit_plan(n, betti, fixed, poincare_dual, has_fixed_point, forgetful, klas
     or clears.
     """
     top = 2 * n
-    last = n if poincare_dual else top
-    min_shift = 1 if has_fixed_point else 0
-    span_cap = top - 1 if has_fixed_point else top
     classes = list(MaximalityClass)  # M < GM < NEITHER
     allowed = classes if klass is None else classes[: classes.index(klass) + 1]
     entry = klass is not None and classify(NormalFormModule.zero()) is not klass
@@ -505,38 +520,29 @@ def _orbit_plan(n, betti, fixed, poincare_dual, has_fixed_point, forgetful, klas
         return (key, mirror) if key < mirror else None
 
     def free_orbits(d):
-        weights = range(min(d, n) + 1)
-        if fixed is not None:
-            weights = [d - f for f in reversed(fixed) if d - f in weights]
+        weights = range(d + 1) if fixed is None else [d - f for f in reversed(fixed) if f <= d]
         for q in weights:
             keys = orbit((d, q), (top - d, n - q))
             if keys:
                 yield keys, ()
 
     def antipodal_orbits(d):
-        if d < min_shift:
-            return
-        for t in (e - d for e in betti if d <= e <= span_cap):
+        for t in (e - d for e in betti if e >= d):
             keys = orbit((d, t), (top - d - t, t))
             if keys:
                 yield (), keys
 
-    def rank(key, free):
-        """A number that orders keys as ``sort_key`` does, every free key
-        (p, q), q <= n, below every antipodal key (r, t), t <= 2n."""
-        a, b = key
-        return a * (n + 1) + b if free else (top + 1) * (n + 1 + a) + b
-
     slots = []
     for orbits in (free_orbits, antipodal_orbits):  # the free part, then the antipodal one
         for d in betti:  # every slot of degree d charges budget ("betti", d)
-            if d > last:
-                break
             kept = []
             for free_keys, anti_keys in orbits(d):
                 # one copy of each key of the orbit (docstring)
                 one = NormalFormModule(tuple([(p, q, 1) for p, q in free_keys]),
                                        tuple([(r, t, 1) for r, t in anti_keys]))
+                if any(condition != "pd_symmetry" for condition, _, _
+                       in _manifold_failures(one, n, has_fixed_point, False)):
+                    continue
                 lines = singular_betti(one)
                 units = [(("betti", e), k) for e, k in lines.items()]
                 if fixed is not None:
@@ -546,12 +552,16 @@ def _orbit_plan(n, betti, fixed, poincare_dual, has_fixed_point, forgetful, klas
                         and all(forgetful_image_dims(one).get(e) == lines.get(e)
                                 for e in forgetful)):
                     charges = tuple([(index[u], k) for u, k in units])
-                    keys = free_keys or anti_keys
-                    least, most = rank(keys[0], free_keys), rank(keys[-1], free_keys)
-                    clears = entry and one_class is klass
-                    kept.append((charges, free_keys, anti_keys, clears, least, most))
+                    kept.append((charges, free_keys, anti_keys, entry and one_class is klass))
             after = len(slots) + len(kept)
             slots += [(*slot, after) for slot in kept]
+
+    # every key of the plan, free tagged below antipodal, ranked in sort_key order
+    rank = {key: i for i, key in enumerate(sorted(
+        {(bool(anti), k) for _, free, anti, _, _ in slots for k in free + anti}))}
+    slots = [(charges, free, anti, clears, rank[bool(anti), (free + anti)[0]],
+              rank[bool(anti), (free + anti)[-1]], after)
+             for charges, free, anti, clears, after in slots]
 
     final = {}
     gcds = {}

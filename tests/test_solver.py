@@ -30,6 +30,7 @@ from bredon.serialize import canonical_dumps
 from bredon.solver import _orbit_plan
 
 from bruteforce import brute_force_decompositions, naive_fiber
+from latticecount import lattice_count
 
 M = MaximalityClass.MAXIMAL
 GM = MaximalityClass.GALOIS_MAXIMAL_ONLY
@@ -132,6 +133,7 @@ def test_completeness_against_brute_force():
         fast = enumerate_decompositions(cs)
         slow = brute_force_decompositions(cs)
         assert fast == slow, cs.to_json_dict()
+        assert lattice_count(cs) == len(fast), cs.to_json_dict()
         _assert_strictly_sorted(fast, cs)
         nonempty += bool(fast)
     assert nonempty >= 10  # the comparison must not be vacuous
@@ -177,42 +179,29 @@ def _box_constraints(boxes=((1, 3), (2, 2)), fixed_lists=(None,), onto=False):
                 yield cs
 
 
-def _sweep_against_brute_force(constraint_sets):
-    """(sets, nonempty sets), asserting the search equals the oracle on each
-    and yields its modules in strictly increasing canonical order."""
+def _sweep_against_brute_force(constraint_sets, made):
+    """(sets, nonempty sets, candidates per class filter), asserting on each
+    set that the search equals the oracle and the lattice count, yields its
+    modules in strictly increasing canonical order, and materializes exactly
+    the modules it returns: ``made`` is the ``_count_candidates`` list.
+
+    That last check shows the budgets make the search exact under every
+    class filter: no budget is left unchecked when the search jumps past a
+    spent degree, and the class entry leaves no candidate of the wrong
+    class."""
     cases = nonempty = 0
+    candidates = Counter()
     for cs in constraint_sets:
+        made.clear()
         fast = enumerate_decompositions(cs)
+        assert len(made) == len(fast), cs.to_json_dict()
         assert fast == brute_force_decompositions(cs), cs.to_json_dict()
+        assert lattice_count(cs) == len(fast), cs.to_json_dict()
         _assert_strictly_sorted(fast, cs)
         cases += 1
         nonempty += bool(fast)
-    return cases, nonempty
-
-
-def test_exhaustive_box_against_brute_force():
-    assert _sweep_against_brute_force(_box_constraints()) == (2672, 1175)
-
-
-def test_exhaustive_fixed_box_against_brute_force():
-    """n = 1 with every fixed-locus Betti list [a, b], a, b <= 2, and the
-    fixed-point flag that list decides."""
-    fixed_lists = list(itertools.product(range(3), repeat=2))
-    sets = _box_constraints(boxes=((1, 3),), fixed_lists=fixed_lists)
-    assert _sweep_against_brute_force(sets) == (2952, 202)
-
-
-def test_exhaustive_forgetful_box_against_brute_force(monkeypatch):
-    """n = 1 with every nonempty subset of the Betti support as the
-    forgetful degrees: the plan's forgetful rule, read off each orbit's
-    one-copy module, offers exactly the orbits whose every copy the
-    re-check can accept, so the search equals the oracle and every module
-    it materializes passes."""
-    made = _count_candidates(monkeypatch)
-    sets = list(_box_constraints(boxes=((1, 3),), onto=True))
-    assert _sweep_against_brute_force(sets) == (2096, 751)
-    candidates = len(made)
-    assert sum(len(enumerate_decompositions(cs)) for cs in sets) == candidates == 3000
+        candidates[cs.class_filter] += len(made)
+    return cases, nonempty, candidates
 
 
 def _count_candidates(monkeypatch):
@@ -230,25 +219,74 @@ def _count_candidates(monkeypatch):
     return made
 
 
-def test_every_candidate_passes(monkeypatch):
-    """The budgets make the search exact: under every class filter, every
-    module it materializes passes the re-check, so no budget is left
-    unchecked when the search jumps past a spent degree, and the class entry
-    leaves no candidate of the wrong class."""
+def test_exhaustive_box_against_brute_force(monkeypatch):
+    made = _count_candidates(monkeypatch)
+    cases, nonempty, candidates = _sweep_against_brute_force(_box_constraints(), made)
+    assert (cases, nonempty) == (2672, 1175)
+    assert (candidates[GM], candidates[NEITHER]) == (675, 1769)
+
+
+def test_exhaustive_fixed_box_against_brute_force(monkeypatch):
+    """n = 1 with every fixed-locus Betti list [a, b], a, b <= 2, and the
+    fixed-point flag that list decides."""
     made = _count_candidates(monkeypatch)
     fixed_lists = list(itertools.product(range(3), repeat=2))
-    sets = itertools.chain(
-        _box_constraints(), _box_constraints(boxes=((1, 3),), fixed_lists=fixed_lists)
-    )
-    candidates = Counter()
-    checked = 0
-    for cs in sets:
-        made.clear()
-        assert len(enumerate_decompositions(cs)) == len(made), cs.to_json_dict()
-        candidates[cs.class_filter] += len(made)
-        checked += 1
-    assert checked == 5624
-    assert candidates[GM] == 700 and candidates[NEITHER] == 1802
+    sets = _box_constraints(boxes=((1, 3),), fixed_lists=fixed_lists)
+    cases, nonempty, candidates = _sweep_against_brute_force(sets, made)
+    assert (cases, nonempty) == (2952, 202)
+    assert (candidates[GM], candidates[NEITHER]) == (25, 33)
+
+
+def test_exhaustive_forgetful_box_against_brute_force(monkeypatch):
+    """n = 1 with every nonempty subset of the Betti support as the
+    forgetful degrees: the plan's forgetful rule, read off each orbit's
+    one-copy module, offers exactly the orbits whose every copy the
+    re-check can accept, so the search equals the oracle and every module
+    it materializes passes."""
+    made = _count_candidates(monkeypatch)
+    sets = _box_constraints(boxes=((1, 3),), onto=True)
+    cases, nonempty, candidates = _sweep_against_brute_force(sets, made)
+    assert (cases, nonempty, sum(candidates.values())) == (2096, 751, 3000)
+
+
+@pytest.mark.parametrize("cs, count", [
+    (ConstraintSet(dimension=2, betti_total=GradedDims.from_list([1, 0, 22, 0, 1])), 10146),
+    (ConstraintSet.from_json_dict({"n": 3, "betti_total": [1, 1, 4, 12, 4, 1, 1],
+                                   "has_fixed_point": True, "connected": True,
+                                   "poincare_dual": True}), 9418),
+    (ConstraintSet.from_json_dict({"n": 4, "betti_total": [1, 0, 3, 0, 14, 0, 3, 0, 1],
+                                   "has_fixed_point": True, "connected": True,
+                                   "poincare_dual": True, "class_filter": "NEITHER"}), 2503),
+    (ConstraintSet(dimension=3, betti_total=GradedDims.from_list([1, 0, 1, 10, 1, 0, 1])), 130687),
+    (k3_constraints(), 1),
+    (cubic_constraints(), 3),
+], ids=["k3_betti", "pd_n3", "pd_n4_neither", "cubic_betti", "k3_s2s2", "cubic_s3_rp3"])
+def test_lattice_count_of_known_fibers(cs, count):
+    """The lattice count gives the size of each benchmark and demo fiber,
+    the Betti-only cubic (130,687 modules) included, without a search."""
+    assert lattice_count(cs) == count
+
+
+# Without duality the re-check does not bound the keys, so each of these
+# modules, which lies outside the search box, meets its constraint set.
+_BOX_GAP = pytest.mark.parametrize("data, free, antipodal", [
+    ({"n": 1, "betti_total": [1, 0, 1]}, [(0, 0, 1), (2, 2, 1)], []),
+    ({"n": 1, "betti_total": [2, 1, 0], "has_fixed_point": True}, [(0, 0, 1)], [(0, 1, 1)]),
+    ({"n": 2, "betti_total": [1, 0, 22, 0, 1]}, [(0, 0, 1), (2, 1, 22), (4, 4, 1)], []),
+], ids=["sphere_2_2", "point_and_antipodal_circle", "k3_betti"])
+
+
+@_BOX_GAP
+def test_box_gap_modules_meet_the_constraints(data, free, antipodal):
+    assert satisfies_constraints(ConstraintSet.from_json_dict(data), make_module(free, antipodal))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: without duality the search "
+                   "offers only the keys of its box")
+@_BOX_GAP
+def test_box_gap_modules_are_found(data, free, antipodal):
+    cs = ConstraintSet.from_json_dict(data)
+    assert make_module(free, antipodal) in enumerate_decompositions(cs)
 
 
 def test_neither_filter_builds_only_accepted_modules(monkeypatch):
