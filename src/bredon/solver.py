@@ -69,18 +69,24 @@ each compared row by row, where a list that ends sorts first), so nothing
 is sorted and ``bredon solve`` prints each module as soon as it passes the
 re-check.  Within a part the slots come in key order, since an orbit's
 representative is its least key, and a choice of c >= 1 copies at key k
-sorts by (k, c).  The one case that needs care is a module whose remaining
-part is all zero: it sorts before a choice c >= 1 at key k exactly when no
-row of that part is pending at a key above k.  Rows are pending only under
-duality, from mirror keys.  So at each state the walk gathers the choices
-c >= 1 along the state's chain of 0-copy edges inside its part, in key
-order, and puts the chain's exit, the state where it leaves the part, at
-the highest key of that part set so far.  Keys are compared by a rank that
-puts every free key below every antipodal one, so the highest key starts
-afresh when the walk enters the antipodal part.  A state with exactly one
-choice and no exit is forced, and the walk follows it in place, with no
-push, pop or search of its keys; most visits are forced (13,333 of the
-16,832 of the Betti-only K3).  The price of this order is
+sorts by (k, c).  At each state the walk gathers the choices c >= 1 along
+the state's chain of 0-copy edges inside its part, in key order; the one
+case that needs care is the chain's exit, the state where it leaves the
+part alive.  A module through the exit, whose free rows end there, sorts
+before one through a choice at key k unless a row set so far lies above
+k.  So the walk puts the exit just after the last choice whose least row
+lies below the highest free row set so far.  Rows lie above k only under
+duality, from mirror keys.  No antipodal state has both an exit and a
+choice: its exit is completion, which needs every budget spent, and a
+choice needs budget left in its own degree.  So no other rows are
+compared, and a state's order of choices depends only on the state and
+the highest free row set so far.  Comparing an orbit's greatest row
+instead of its least gives the same order: the mirror reverses order, so
+every row set so far that lies above the least key is the mirror of an
+earlier representative and lies above the orbit's mirror too.  A state
+with exactly one choice and no exit is forced, and the walk follows it in
+place, with no push, pop or comparison of rows; most visits are forced
+(13,333 of the 16,832 of the Betti-only K3).  The price of this order is
 a larger DAG: the free part is decided first, so each degree's budget stays
 open until the antipodal slots (522 states for the Betti-only K3, against
 232 when the two kinds of slot were interleaved by degree).
@@ -348,7 +354,7 @@ def iter_decompositions(cs: ConstraintSet) -> Iterator[NormalFormModule]:
                 if j == end:
                     state.append(end)
                     break
-                charges, _, _, clears, _, _, after = slots[j]
+                charges, _, _, clears, after = slots[j]
                 cap = min(budget[e] // k for e, k in charges)
                 if not cap:  # pass over a slot whose budgets ran out earlier
                     j = j + 1 if budget[charges[0][0]] else after
@@ -383,34 +389,36 @@ def iter_decompositions(cs: ConstraintSet) -> Iterator[NormalFormModule]:
                 state[:] = state[1]
 
     # The walk, in canonical order (module docstring).  An entry is a state
-    # (None once complete), the rows set so far and the rank of the highest
-    # key among them; a state's choices are pushed last first, with its exit
-    # just before the first choice whose key is below that rank.  A state's
-    # walk record is built at its first visit.  A forced state, one choice
-    # and no exit, is followed in place.
+    # (None once complete) and the free and antipodal rows set so far; a
+    # state's choices are pushed last first, with its exit, if any, just
+    # before the first choice whose least row lies below the highest free row
+    # set so far.  Only a free state has both an exit and a choice, so only
+    # free rows are compared.  A state's walk record is built at its first
+    # visit.  A forced state, one choice and no exit, is followed in place.
     records = {}
-    stack = [(root, (), (), -1)] if root else []
+    stack = [(root, (), ())] if root else []
     while stack:
-        state, free, anti, high = stack.pop()
+        state, free, anti = stack.pop()
         while state is not None:
             record = records.get(id(state))
             if record is None:
                 record = records[id(state)] = _walk_record(state, slots)
             segments, leave = record
-            if leave is False and len(segments) == 1:
-                _, free_seg, anti_seg, state, top = segments[0]
-                free += free_seg
-                anti += anti_seg
-                if top > high:
-                    high = top
-                continue
-            for key, free_seg, anti_seg, child, top in segments:
-                if key < high and leave is not False:
-                    stack.append((leave, free, anti, high))
+            if leave is False:
+                if len(segments) == 1:
+                    free_seg, anti_seg, state = segments[0]
+                    free += free_seg
+                    anti += anti_seg
+                    continue
+            else:
+                high = max(free, default=())
+            for free_seg, anti_seg, child in segments:
+                if leave is not False and free_seg[0] < high:
+                    stack.append((leave, free, anti))
                     leave = False
-                stack.append((child, free + free_seg, anti + anti_seg, top if top > high else high))
+                stack.append((child, free + free_seg, anti + anti_seg))
             if leave is not False:
-                stack.append((leave, free, anti, high))
+                stack.append((leave, free, anti))
             break
         else:  # the path is complete
             if satisfies_constraints(cs, module := make_module(free, anti)):
@@ -422,36 +430,31 @@ def _walk_record(state, slots):
 
     Following the state's edges for 0 copies while they stay in its part
     (free or antipodal), each live edge for c >= 1 copies is one segment
-    ``(key, free rows, antipodal rows, child, top)``, one of the row tuples
-    empty: key is the rank of the slot's least key, the child is None when
-    it completes, and top is the rank of the highest key the segment sets.
-    ``segments`` lists the segments in decreasing order, the order in which
-    the walk pushes them.  ``leave`` is the state where the 0-copy chain
-    leaves the part: None when it completes, False when it dies.
+    ``(free rows, antipodal rows, child)``, one of the row tuples empty and
+    the other starting with the row of the slot's least key; the child is
+    None when it completes.  ``segments`` lists the segments in decreasing
+    order, the order in which the walk pushes them.  ``leave`` is the state
+    where the 0-copy chain leaves the part: None when it completes, False
+    when it dies.  An antipodal state whose chain completes has no segment:
+    completion needs every budget spent, and a slot is offered only while
+    budget is left in its own degree.
     """
     end = len(slots)
     segments = []
     j = state[0]
     free_part = j < end and bool(slots[j][1])
-    while j < end:
-        _, free_keys, anti_keys, _, key, top, _ = slots[j]
-        if bool(free_keys) is not free_part:
-            break
+    while j < end and bool(slots[j][1]) is free_part:
+        _, free_keys, anti_keys, _, _ = slots[j]
         for c in range(1, len(state) - 1):
             child = state[c + 1]
             if child:
-                if len(child) == 1:  # [end]
-                    child = None
                 free_rows = tuple([(p, q, c) for p, q in free_keys])
                 anti_rows = tuple([(r, t, c) for r, t in anti_keys])
-                segments.append((key, free_rows, anti_rows, child, top))
+                segments.append((free_rows, anti_rows, None if len(child) == 1 else child))
         state = state[1]
-        if not state:
-            segments.reverse()
-            return segments, False
-        j = state[0]
+        j = state[0] if state else end
     segments.reverse()
-    return segments, None if j == end else state
+    return segments, False if not state else None if j == end else state
 
 
 @lru_cache(maxsize=64)
@@ -492,18 +495,15 @@ def _orbit_plan(n, betti, fixed, poincare_dual, has_fixed_point, forgetful, klas
 
     The free slots come first, in degree and then weight order, then the
     antipodal ones, in degree and then sphere-dimension order.  A slot is
-    ``(charges, free_keys, antipodal_keys, clears, least, most, after)``:
-    the (budget, units) pairs one copy of the orbit uses, starting with its
-    own degree, the keys it sets, whether a copy of it clears the class
-    entry, the ranks of its least and greatest key, and the index of the
-    first slot of the next degree in its part.  The ranks are the places of
-    the keys among all keys of the plan, sorted as ``sort_key`` sorts rows,
-    with every free key below every antipodal one.  The class entry is not
-    charged per copy and bounds no multiplicity.  ``closing[i]`` lists the
-    budgets that must be spent by slot i: those last charged (or, for the
-    class entry, cleared) at slot i - 1 or in the degree before slot i (the
-    jump target of a spent degree), and, at i = 0, those no slot charges
-    or clears.
+    ``(charges, free_keys, antipodal_keys, clears, after)``: the (budget,
+    units) pairs one copy of the orbit uses, starting with its own degree,
+    the keys it sets, least first, whether a copy of it clears the class
+    entry, and the index of the first slot of the next degree in its part.
+    The class entry is not charged per copy and bounds no multiplicity.
+    ``closing[i]`` lists the budgets that must be spent by slot i: those
+    last charged (or, for the class entry, cleared) at slot i - 1 or in the
+    degree before slot i (the jump target of a spent degree), and, at i = 0,
+    those no slot charges or clears.
     """
     top = 2 * n
     classes = list(MaximalityClass)  # M < GM < NEITHER
@@ -556,16 +556,9 @@ def _orbit_plan(n, betti, fixed, poincare_dual, has_fixed_point, forgetful, klas
             after = len(slots) + len(kept)
             slots += [(*slot, after) for slot in kept]
 
-    # every key of the plan, free tagged below antipodal, ranked in sort_key order
-    rank = {key: i for i, key in enumerate(sorted(
-        {(bool(anti), k) for _, free, anti, _, _ in slots for k in free + anti}))}
-    slots = [(charges, free, anti, clears, rank[bool(anti), (free + anti)[0]],
-              rank[bool(anti), (free + anti)[-1]], after)
-             for charges, free, anti, clears, after in slots]
-
     final = {}
     gcds = {}
-    for i, (charges, _, _, clears, _, _, after) in enumerate(slots):
+    for i, (charges, _, _, clears, after) in enumerate(slots):
         for e, k in charges:
             final[e] = {i + 1, after}
             gcds[e] = gcd(gcds.get(e, 0), k)

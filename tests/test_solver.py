@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -205,17 +206,28 @@ def _sweep_against_brute_force(constraint_sets, made):
 
 
 def _count_candidates(monkeypatch):
-    """The list that every module the search materializes appends to."""
+    """The list that every module the search materializes appends to.
+
+    It also checks each walk record against the invariant the walk's order
+    rests on: a state with an exit has no choice that sets antipodal rows
+    (solver module docstring, "Walk order")."""
     import bredon.solver
 
     made = []
     build = bredon.solver.make_module
+    record = bredon.solver._walk_record
 
     def counted(*rows):
         made.append(rows)
         return build(*rows)
 
+    def checked(state, slots):
+        segments, leave = record(state, slots)
+        assert leave is False or not any(anti for _, anti, _ in segments)
+        return segments, leave
+
     monkeypatch.setattr(bredon.solver, "make_module", counted)
+    monkeypatch.setattr(bredon.solver, "_walk_record", checked)
     return made
 
 
@@ -265,6 +277,20 @@ def test_lattice_count_of_known_fibers(cs, count):
     """The lattice count gives the size of each benchmark and demo fiber,
     the Betti-only cubic (130,687 modules) included, without a search."""
     assert lattice_count(cs) == count
+
+
+def test_betti_only_cubic_fiber_output():
+    """The Betti-only cubic fiber, the largest the tests list: its 130,687
+    modules and the sha256 of their ``bredon solve`` lines, one
+    ``to_json_text`` line each, in the walk's canonical order."""
+    cs = ConstraintSet(dimension=3, betti_total=GradedDims.from_list([1, 0, 1, 10, 1, 0, 1]))
+    digest = hashlib.sha256()
+    count = 0
+    for module in solver.iter_decompositions(cs):
+        digest.update((module.to_json_text() + "\n").encode())
+        count += 1
+    assert count == 130687
+    assert digest.hexdigest() == "7900249acb30a87eb8e983b0ec36c3fc3ba88689a5993f051ac18547fbce157e"
 
 
 # Without duality the re-check does not bound the keys, so each of these
