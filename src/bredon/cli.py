@@ -5,8 +5,9 @@ its own arguments.  The input is one of three kinds in ``_INPUTS``: a
 module (``--catalog NAME`` with ``--param``, or ``--module FILE``), a
 constraints file (``--constraints FILE``: every condition ``solve`` and
 ``predict`` apply is a field of it), or nothing.  ``build_parser`` builds
-every subparser from the two tables, and ``_run`` loads the input the row
-names, calls the handler and prints what it returns, once.
+every subparser from the two tables, once per process, and ``_run`` loads
+the input the row names, calls the handler and prints what it returns,
+once.
 
 Exit codes: 0 on success, 1 when ``pd-check`` or ``validate`` fails (the
 report is still emitted), 2 on any error: its code goes to stderr and
@@ -26,6 +27,7 @@ import argparse
 import os
 import sys
 from collections.abc import Iterator
+from functools import cache
 
 from .algebra import BivariatePolynomial, NormalFormModule, power, rank_polynomial
 from .catalog import catalog_get, catalog_list
@@ -367,6 +369,7 @@ _VERBS = {
 }
 
 
+@cache  # parse_args keeps no value in the parser, so every call can share it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bredon",

@@ -72,7 +72,7 @@ representative is its least key, and a choice of c >= 1 copies at key k
 sorts by (k, c).  At each state the walk gathers the choices c >= 1 along
 the state's chain of 0-copy edges inside its part, in key order; the one
 case that needs care is the chain's exit, the state where it leaves the
-part alive.  A module through the exit, whose free rows end there, sorts
+part.  A module through the exit, whose free rows end there, sorts
 before one through a choice at key k unless a row set so far lies above
 k.  So the walk puts the exit just after the last choice whose least row
 lies below the highest free row set so far.  Rows lie above k only under
@@ -83,13 +83,13 @@ compared, and a state's order of choices depends only on the state and
 the highest free row set so far.  Comparing an orbit's greatest row
 instead of its least gives the same order: the mirror reverses order, so
 every row set so far that lies above the least key is the mirror of an
-earlier representative and lies above the orbit's mirror too.  A state
-with exactly one choice and no exit is forced, and the walk follows it in
-place, with no push, pop or comparison of rows; most visits are forced
-(13,333 of the 16,832 of the Betti-only K3).  The price of this order is
-a larger DAG: the free part is decided first, so each degree's budget stays
-open until the antipodal slots (522 states for the Betti-only K3, against
-232 when the two kinds of slot were interleaved by degree).
+earlier representative and lies above the orbit's mirror too.  The walk
+reads the DAG's own end states: ``[end]`` completes and ``[]`` is dead.
+Every visit pops one state with the rows set so far; at ``[end]`` it
+builds the module and re-checks it, and at any other state it pushes the
+choices and the exit, unless the exit is dead.  The price of this order
+is a larger DAG: the free part is decided first, so each degree's budget
+stays open until the antipodal slots (522 states for the Betti-only K3).
 
 Every module the search produces is re-checked through the public
 localization and classification operations before it is returned, so the
@@ -389,60 +389,52 @@ def iter_decompositions(cs: ConstraintSet) -> Iterator[NormalFormModule]:
                 state[:] = state[1]
 
     # The walk, in canonical order (module docstring).  An entry is a state
-    # (None once complete) and the free and antipodal rows set so far; a
-    # state's choices are pushed last first, with its exit, if any, just
-    # before the first choice whose least row lies below the highest free row
-    # set so far.  Only a free state has both an exit and a choice, so only
-    # free rows are compared.  A state's walk record is built at its first
-    # visit.  A forced state, one choice and no exit, is followed in place.
+    # and the free and antipodal rows set so far.  At [end] the path is
+    # complete; at any other state the walk pushes the state's walk record,
+    # built at its first visit: the choices last first, and the exit, unless
+    # it is dead, just before the first choice whose least row lies below
+    # the highest free row set so far.  Only a free state has both an exit
+    # and a choice, so only free rows are compared.
     records = {}
     stack = [(root, (), ())] if root else []
     while stack:
         state, free, anti = stack.pop()
-        while state is not None:
-            record = records.get(id(state))
-            if record is None:
-                record = records[id(state)] = _walk_record(state, slots)
-            segments, leave = record
-            if leave is False:
-                if len(segments) == 1:
-                    free_seg, anti_seg, state = segments[0]
-                    free += free_seg
-                    anti += anti_seg
-                    continue
-            else:
-                high = max(free, default=())
-            for free_seg, anti_seg, child in segments:
-                if leave is not False and free_seg[0] < high:
-                    stack.append((leave, free, anti))
-                    leave = False
-                stack.append((child, free + free_seg, anti + anti_seg))
-            if leave is not False:
-                stack.append((leave, free, anti))
-            break
-        else:  # the path is complete
+        if len(state) == 1:  # [end]: the path is complete
             if satisfies_constraints(cs, module := make_module(free, anti)):
                 yield module
+            continue
+        if (record := records.get(id(state))) is None:
+            record = records[id(state)] = _walk_record(state, slots)
+        segments, leave = record
+        high = max(free, default=()) if leave else ()
+        for free_seg, anti_seg, child in segments:
+            if leave and free_seg[0] < high:
+                stack.append((leave, free, anti))
+                leave = []
+            stack.append((child, free + free_seg, anti + anti_seg))
+        if leave:
+            stack.append((leave, free, anti))
 
 
 def _walk_record(state, slots):
-    """The choices of a live state, as (segments, leave).
+    """The choices of a live state other than ``[end]``, as (segments, leave).
 
     Following the state's edges for 0 copies while they stay in its part
     (free or antipodal), each live edge for c >= 1 copies is one segment
     ``(free rows, antipodal rows, child)``, one of the row tuples empty and
-    the other starting with the row of the slot's least key; the child is
-    None when it completes.  ``segments`` lists the segments in decreasing
+    the other starting with the row of the slot's least key, and the child
+    as the DAG holds it.  ``segments`` lists the segments in decreasing
     order, the order in which the walk pushes them.  ``leave`` is the state
-    where the 0-copy chain leaves the part: None when it completes, False
-    when it dies.  An antipodal state whose chain completes has no segment:
-    completion needs every budget spent, and a slot is offered only while
-    budget is left in its own degree.
+    where the 0-copy chain leaves the part, as the DAG holds it: ``[]``
+    when the chain dies, ``[end]`` when it completes, else a live state of
+    the antipodal part.  An antipodal state whose chain completes has no
+    segment: completion needs every budget spent, and a slot is offered
+    only while budget is left in its own degree.
     """
     end = len(slots)
     segments = []
     j = state[0]
-    free_part = j < end and bool(slots[j][1])
+    free_part = bool(slots[j][1])
     while j < end and bool(slots[j][1]) is free_part:
         _, free_keys, anti_keys, _, _ = slots[j]
         for c in range(1, len(state) - 1):
@@ -450,11 +442,11 @@ def _walk_record(state, slots):
             if child:
                 free_rows = tuple([(p, q, c) for p, q in free_keys])
                 anti_rows = tuple([(r, t, c) for r, t in anti_keys])
-                segments.append((free_rows, anti_rows, None if len(child) == 1 else child))
+                segments.append((free_rows, anti_rows, child))
         state = state[1]
         j = state[0] if state else end
     segments.reverse()
-    return segments, False if not state else None if j == end else state
+    return segments, state
 
 
 @lru_cache(maxsize=64)

@@ -165,6 +165,24 @@ def test_validate_flags_default_to_the_entry_else_false(tmp_path, capsys, fixed_
         )
 
 
+def test_main_builds_one_parser_and_keeps_no_value(monkeypatch, capsys):
+    """Every ``main`` call shares one parser, and no parsed value carries
+    over to the next call: an appended ``--param`` list or a flag."""
+    import bredon.cli
+
+    seen = []
+    run_args = bredon.cli._run
+    monkeypatch.setattr(bredon.cli, "_run", lambda args: seen.append(args) or run_args(args))
+    bredon.cli.build_parser.cache_clear()
+    k3 = ["--catalog", "k3", "--param", "b_star=4", "--param", "chi=4"]
+    for flags in (["--fixed-point"], [], ["--no-fixed-point"], []):
+        run(capsys, "validate", *k3, *flags, "--format", "json")
+    run(capsys, "validate", "--catalog", "severi_brauer_1", "--format", "json")
+    assert bredon.cli.build_parser.cache_info().misses == 1
+    assert [args.fixed_point for args in seen] == [True, None, False, None, None]
+    assert [args.param for args in seen] == [["b_star=4", "chi=4"]] * 4 + [[]]
+
+
 def test_hodge_torsion_flag_overrides_the_catalog_default(capsys):
     code, out, _ = run(capsys, "hodge", "--catalog", "k3_hodge_expressive",
                        "--no-torsion-free", "--format", "json")
@@ -378,6 +396,13 @@ def test_solve_prints_nothing_for_an_empty_result(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text('{"n": 1, "betti_total": [0, 1, 0], "poincare_dual": true}')
     assert run(capsys, "solve", "--constraints", str(path)) == (0, "", "")
+
+
+def test_solve_empty_betti_data_prints_the_zero_module(tmp_path, capsys):
+    path = tmp_path / "nothing.json"
+    path.write_text('{"n": 2, "betti_total": []}')
+    code, out, err = run(capsys, "solve", "--constraints", str(path))
+    assert (code, out, err) == (0, '{"free":[],"antipodal":[]}\n', "")
 
 
 def test_solve_point_in_high_dimension(tmp_path, capsys):

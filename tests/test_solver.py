@@ -223,7 +223,7 @@ def _count_candidates(monkeypatch):
 
     def checked(state, slots):
         segments, leave = record(state, slots)
-        assert leave is False or not any(anti for _, anti, _ in segments)
+        assert not leave or not any(anti for _, anti, _ in segments)
         return segments, leave
 
     monkeypatch.setattr(bredon.solver, "make_module", counted)
@@ -351,6 +351,18 @@ def test_odd_middle_betti_number_ends_at_once():
         n, cs.betti_total.support(), None, True, True, frozenset(), None
     )
     assert (names.index(("betti", n)), 2) in units and cs.betti_total.get(n) % 2
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 0, "betti_total": []},
+    {"n": 2, "betti_total": []},
+    {"n": 2, "betti_total": [], "poincare_dual": True},
+], ids=["n0", "n2", "n2_dual"])
+def test_empty_betti_data_yields_the_zero_module(data):
+    """Empty Betti data names no budget, so the first search state
+    completes at once and the search yields exactly the zero module."""
+    cs = ConstraintSet.from_json_dict(data)
+    assert enumerate_decompositions(cs) == [make_module([], [])]
 
 
 def _random_module_in_box(rng, n):
