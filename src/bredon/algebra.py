@@ -421,6 +421,10 @@ class NormalFormModule:
     positive multiplicities, duplicates merged.  Every entry is an ``int``
     (a bool or a float is a :class:`ConstraintViolation`), so the module
     prints exactly as its JSON.  Equality of modules is equality of the maps.
+
+    ``NormalFormModule(...)``, ``make_module`` and every JSON reader check
+    and merge their rows; only :meth:`_canonical` skips that, and the walk of
+    ``bredon.solver.iter_decompositions`` is its only caller.
     """
 
     free: tuple[tuple[int, int, int], ...] = ()
@@ -441,6 +445,19 @@ class NormalFormModule:
             object.__setattr__(self, part, merge_rows(rows, 3))
 
     # -- construction -------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, free: tuple, antipodal: tuple) -> "NormalFormModule":
+        """Wrap rows that are canonical by construction, without the checks.
+
+        The caller guarantees what ``make_module`` would check and make: two
+        tuples of ``(int, int, int)`` rows in strictly increasing key order,
+        with multiplicities >= 1, within the CW bounds.
+        """
+        module = object.__new__(cls)
+        object.__setattr__(module, "free", free)
+        object.__setattr__(module, "antipodal", antipodal)
+        return module
 
     @staticmethod
     def zero() -> "NormalFormModule":

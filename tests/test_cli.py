@@ -276,7 +276,7 @@ def test_solve_writes_its_first_line_before_a_second_candidate(tmp_path, monkeyp
     import bredon.solver
 
     built = []
-    make = bredon.solver.make_module
+    make = bredon.solver._walk_module
 
     def counted(*rows):
         built.append(rows)
@@ -298,7 +298,7 @@ def test_solve_writes_its_first_line_before_a_second_candidate(tmp_path, monkeyp
         def flush(self):
             pass
 
-    monkeypatch.setattr(bredon.solver, "make_module", counted)
+    monkeypatch.setattr(bredon.solver, "_walk_module", counted)
     constraints = ConstraintSet(dimension=2, betti_total=GradedDims.from_list([1, 0, 22, 0, 1]))
     path = tmp_path / "k3_betti.json"
     path.write_text(json.dumps(constraints.to_json_dict()))

@@ -1,8 +1,10 @@
 import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,7 @@ from latticecount import lattice_count
 M = MaximalityClass.MAXIMAL
 GM = MaximalityClass.GALOIS_MAXIMAL_ONLY
 NEITHER = MaximalityClass.NEITHER
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def k3_constraints():
@@ -205,28 +208,46 @@ def _sweep_against_brute_force(constraint_sets, made):
     return cases, nonempty, candidates
 
 
-def _count_candidates(monkeypatch):
-    """The list that every module the search materializes appends to.
+def _assert_trusted(module, rows):
+    """A module the walk built without ``make_module``'s checks is the module
+    ``make_module`` builds from the same rows, and its rows are canonical:
+    tuples of int triples in strictly increasing key order, multiplicities
+    at least 1."""
+    assert module == make_module(*rows)
+    for part in (module.free, module.antipodal):
+        assert type(part) is tuple
+        for row in part:
+            assert type(row) is tuple and len(row) == 3
+            assert all(type(entry) is int for entry in row) and row[2] >= 1
+        assert all(a[:2] < b[:2] for a, b in zip(part, part[1:]))
 
-    It also checks each walk record against the invariant the walk's order
-    rests on: a state with an exit has no choice that sets antipodal rows
-    (solver module docstring, "Walk order")."""
+
+def _count_candidates(monkeypatch):
+    """The list that every module the search materializes appends to, as
+    the rows the walk gathered.
+
+    Each module is checked against ``make_module`` of those rows
+    (``_assert_trusted``).  Each walk record is checked against the
+    invariant the walk's order rests on: a state with an exit has no choice
+    that sets antipodal rows (solver module docstring, "Walk order")."""
     import bredon.solver
 
     made = []
-    build = bredon.solver.make_module
+    build = bredon.solver._walk_module
     record = bredon.solver._walk_record
 
     def counted(*rows):
         made.append(rows)
-        return build(*rows)
+        module = build(*rows)
+        _assert_trusted(module, rows)
+        return module
 
     def checked(state, slots):
         segments, leave = record(state, slots)
         assert not leave or not any(anti for _, anti, _ in segments)
         return segments, leave
 
-    monkeypatch.setattr(bredon.solver, "make_module", counted)
+    monkeypatch.setattr(bredon.solver, "_walk_module", counted)
     monkeypatch.setattr(bredon.solver, "_walk_record", checked)
     return made
 
@@ -329,6 +350,20 @@ def test_neither_filter_builds_only_accepted_modules(monkeypatch):
     )
     solutions = enumerate_decompositions(cs)
     assert len(made) == len(solutions) == 2503
+
+
+@pytest.mark.parametrize("path", [
+    *(ROOT / "benchmarks" / "data" / f"{name}.json" for name in ("k3_betti", "pd_n3", "pd_n4_neither")),
+    *sorted((ROOT / "demos" / "data").glob("*.json")),
+], ids=lambda path: path.stem)
+def test_walk_builds_trusted_modules_on_benchmark_and_demo_sets(path, monkeypatch):
+    """On the benchmark and demo sets, every module the walk builds without
+    ``make_module``'s checks equals ``make_module`` of its rows and is
+    canonical (``_assert_trusted``), and every one is returned."""
+    made = _count_candidates(monkeypatch)
+    cs = ConstraintSet.from_json_dict(json.loads(path.read_text()))
+    solutions = enumerate_decompositions(cs)
+    assert solutions and len(made) == len(solutions)
 
 
 def test_odd_middle_betti_number_ends_at_once():
@@ -547,7 +582,7 @@ def test_first_candidate_is_fast(monkeypatch):
     def stop(*args):
         raise FirstCandidate
 
-    monkeypatch.setattr(bredon.solver, "make_module", stop)
+    monkeypatch.setattr(bredon.solver, "_walk_module", stop)
     cs = ConstraintSet(dimension=3, betti_total=GradedDims.from_list([1, 0, 3, 20, 3, 0, 1]))
     start = time.perf_counter()
     with pytest.raises(FirstCandidate):
