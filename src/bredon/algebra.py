@@ -153,45 +153,30 @@ def m2_basis(max_exponent: int) -> Iterator[M2Element]:
 # ---------------------------------------------------------------------------
 
 
-def merge_rows(rows: Iterable[Sequence], width: int) -> tuple:
+def merge_rows(rows: Iterable[Sequence]) -> tuple:
     """Canonical rows: sorted by key, equal keys summed, zero sums dropped.
 
-    Rows are ``(key, value)`` (width 2) or ``(a, b, value)`` (width 3), in any
-    order, as tuples or lists; the result is a tuple of tuples.  Cost: one
-    sort and one scan.
+    A row is its key followed by its value, ``row[:-1]`` and ``row[-1]``,
+    as a tuple or a list, in any order; the result is a tuple of tuples.
+    The caller makes every row the same length, as ``clean_rows`` and
+    ``NormalFormModule`` do.  Cost: one sort and one scan.
+
+    Every value type is built through it, except the walk's modules
+    (``NormalFormModule._canonical``) and the localization sums
+    (``GradedDims._canonical``).  So a ``bredon solve`` calls it only from
+    the constraint reader and a cold search plan, and ``bredon report``
+    about seven times per module.
     """
-    ordered = iter(sorted(map(tuple, rows)))
-    # The current key's row, reused as it is; None once a duplicate has been
-    # summed into the key, so that the row is rebuilt with the total.
-    row = next(ordered, ())
     out = []
-    if width == 2 and row:
-        key, total = row
-        for nxt in ordered:
-            k, v = nxt
-            if k == key:
-                total += v
-                row = None
-                continue
-            if total:
-                out.append(row or (key, total))
-            row, key, total = nxt, k, v
-        if total:
-            out.append(row or (key, total))
-    elif row:
-        a, b, total = row
-        for nxt in ordered:
-            x, y, v = nxt
-            if x == a and y == b:
-                total += v
-                row = None
-                continue
-            if total:
-                out.append(row or (a, b, total))
-            row, a, b, total = nxt, x, y, v
-        if total:
-            out.append(row or (a, b, total))
-    return tuple(out)
+    last = None
+    for row in sorted(map(tuple, rows)):
+        key = row[:-1]
+        if key == last:
+            out[-1] = (*key, out[-1][-1] + row[-1])
+        else:
+            out.append(row)
+            last = key
+    return tuple([row for row in out if row[-1]])
 
 
 def row_value(rows: tuple, key: tuple) -> int:
@@ -206,17 +191,21 @@ def power(base: str, exponent: int) -> str:
 
 
 def clean_rows(rows: Iterable[Sequence], width: int, what: str) -> tuple:
-    """Canonical rows whose entries are all exact ``int`` and whose sums are >= 0.
+    """Canonical rows of ``width`` exact ``int`` entries whose sums are >= 0.
 
-    A bool or a float anywhere in a row is a ValueError: its JSON could not
-    be read back.  A negative sum after the merge is a ValueError too.
+    A row of another length is a ValueError, since ``merge_rows`` would read
+    its last entry as the value of a wrong key.  A bool or a float anywhere
+    in a row is a ValueError: its JSON could not be read back.  A negative
+    sum after the merge is a ValueError too.
     """
     rows = tuple(rows)
     for row in rows:
+        if len(row) != width:
+            raise ValueError(f"{what} rows must have {width} entries, got {row!r}")
         for entry in row:
             if type(entry) is not int:
                 raise ValueError(f"{what} rows must hold integers, got {row!r}")
-    merged = merge_rows(rows, width)
+    merged = merge_rows(rows)
     for row in merged:
         if row[-1] < 0:
             key = row[0] if width == 2 else row[:-1]
@@ -377,7 +366,7 @@ class BivariatePolynomial:
     def from_json(data) -> "BivariatePolynomial":
         shape = "[p, q, coefficient]"
         row_shape = f"{shape} nonnegative integers"
-        int_rows(data, 3, "hodge", f"a list of {shape} triples", row_shape)
+        int_rows(data, "hodge", f"a list of {shape} triples", row_shape)
         for k, row in enumerate(data):
             if min(row) < 0:
                 raise SchemaError(f"hodge[{k}]", f"expected {row_shape}")
@@ -442,7 +431,7 @@ class NormalFormModule:
                     raise NegativeMultiplicity(
                         f"{part} summand at ({a}, {b}) has multiplicity {mult}"
                     )
-            object.__setattr__(self, part, merge_rows(rows, 3))
+            object.__setattr__(self, part, merge_rows(rows))
 
     # -- construction -------------------------------------------------------
 
@@ -554,7 +543,7 @@ class NormalFormModule:
         known_fields(data, _MODULE_KEYS, "module")
         shape, row_shape = "a list of triples", "three integers [a, b, mult]"
         free, antipodal = (
-            int_rows(data.get(part, []), 3, f"module.{part}", shape, row_shape)
+            int_rows(data.get(part, []), f"module.{part}", shape, row_shape)
             for part in _MODULE_KEYS
         )
         return make_module(free, antipodal)

@@ -81,13 +81,13 @@ def known_fields(data: dict, keys: tuple, field: str) -> None:
             raise SchemaError(f"{field}.{key}", "unknown field")
 
 
-def int_rows(value, width: int, field: str, shape: str, row_shape: str) -> list:
-    """``value`` if it is a list of ``width``-integer lists, else SchemaError."""
+def int_rows(value, field: str, shape: str, row_shape: str) -> list:
+    """``value`` if it is a list of three-integer lists, else SchemaError."""
     expect(value, list, field, shape)
     for k, row in enumerate(value):
         if (
             not isinstance(row, list)
-            or len(row) != width
+            or len(row) != 3
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in row)
         ):
             raise SchemaError(f"{field}[{k}]", f"expected {row_shape}")

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from bredon import make_module
+
+# More examples for the property tests, on request: ``--hypothesis-profile=ci``.
+settings.register_profile("ci", max_examples=1000)
 
 
 def random_cw_modules(count, seed, max_degree=12, max_mult=5):

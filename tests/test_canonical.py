@@ -212,6 +212,43 @@ def test_a_bool_or_float_entry_is_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, width",
+    [
+        (lambda row: GradedDims((row,)), 2),
+        (lambda row: UnivariatePolynomial((row,)), 2),
+        (lambda row: BivariatePolynomial((row,)), 3),
+        (lambda row: C2GradedSpace((row,)), 2),
+        (lambda row: C2GradedSpace((), (row,)), 2),
+        (lambda row: BorelModule((row,), ()), 2),
+        (lambda row: BorelModule((), (row,)), 3),
+        (lambda row: HomologyModule((row,), ()), 3),
+        (lambda row: HomologyModule((), (row,)), 3),
+        (lambda row: NormalFormModule((row,)), 3),
+        (lambda row: NormalFormModule((), (row,)), 3),
+    ],
+    ids=[
+        "dims",
+        "univariate",
+        "bivariate",
+        "c2-trivial",
+        "c2-regular",
+        "borel-free",
+        "borel-torsion",
+        "homology-free",
+        "homology-antipodal",
+        "module-free",
+        "module-antipodal",
+    ],
+)
+def test_a_row_of_the_wrong_length_is_rejected(build, width):
+    # the merge reads a row's last entry as its value, whatever its length
+    build(tuple(range(1, width + 1)))
+    for length in (0, width - 1, width + 1):
+        with pytest.raises(ValueError):
+            build(tuple(range(1, length + 1)))
+
+
 counts = st.lists(st.tuples(keys, st.integers(0, 4)), max_size=8)
 
 

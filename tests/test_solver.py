@@ -655,7 +655,11 @@ def test_long_empty_run_needs_no_deep_stack():
 
 def test_state_bound_counts_states_not_paths(monkeypatch):
     """n=2 ``[1,0,4,0,1]`` has 147 modules over 108 search states: the bound
-    admits it at 108 states and refuses it at 107."""
+    admits it at 108 states and refuses it at 107.  The other sets are
+    admitted at their state count, root included, and refused one below it:
+    the benchmark sets, the Betti-only cubic, ``[1,0,1,...,1,0,1]`` at
+    n = 12 with all three flags, and Betti-only ``{0: 1, 2n: 1}`` at n = 5,
+    which has 2n + 9 states."""
     cs = ConstraintSet(dimension=2, betti_total=GradedDims.from_list([1, 0, 4, 0, 1]))
     monkeypatch.setattr(solver, "_MAX_STATES", 108)
     assert len(enumerate_decompositions(cs)) == 147
@@ -663,6 +667,29 @@ def test_state_bound_counts_states_not_paths(monkeypatch):
     with pytest.raises(SearchTooLarge) as info:
         enumerate_decompositions(cs)
     assert str(info.value) == "the search for n=2 needs more than 107 states"
+
+    def data(name):
+        path = ROOT / "benchmarks" / "data" / f"{name}.json"
+        return ConstraintSet.from_json_dict(json.loads(path.read_text()))
+
+    ladder = GradedDims.from_list([1, 0] + [1] * (2 * 12 - 3) + [0, 1])
+    for cs, states in [
+        (data("k3_betti"), 522),
+        (data("pd_n3"), 415),
+        (data("pd_n4_neither"), 359),
+        (ConstraintSet(dimension=3, betti_total=GradedDims.from_list([1, 0, 1, 10, 1, 0, 1])), 1383),
+        (ConstraintSet(dimension=12, betti_total=ladder, has_fixed_point=True,
+                       connected=True, poincare_dual=True), 34817),
+        (ConstraintSet(dimension=5, betti_total=GradedDims(((0, 1), (10, 1)))), 2 * 5 + 9),
+    ]:
+        monkeypatch.setattr(solver, "_MAX_STATES", states)
+        assert next(solver.iter_decompositions(cs), None) is not None
+        monkeypatch.setattr(solver, "_MAX_STATES", states - 1)
+        with pytest.raises(SearchTooLarge) as info:
+            next(solver.iter_decompositions(cs))
+        assert str(info.value) == (
+            f"the search for n={cs.dimension} needs more than {states - 1} states"
+        )
 
 
 def _full_data(entry):
