@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exceptions import (
@@ -393,13 +392,26 @@ class BivariatePolynomial:
 _MODULE_KEYS = ("free", "antipodal")
 
 
-@lru_cache(maxsize=128)
-def _line_template(free_rows: int, antipodal_rows: int) -> str:
-    """The ``%`` template of a module line with these row counts."""
-    return '{"free":[%s],"antipodal":[%s]}' % (
-        ",".join(["[%d,%d,%d]"] * free_rows),
-        ",".join(["[%d,%d,%d]"] * antipodal_rows),
-    )
+_ROW_TEXTS_MAX = 1024
+
+
+class _RowTexts(dict):
+    """Row -> its JSON text ``[a,b,m]``, formatted once per distinct row.
+
+    Cleared before it would hold more than ``_ROW_TEXTS_MAX`` rows.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, row):
+        if len(self) >= _ROW_TEXTS_MAX:
+            self.clear()
+        text = self[row] = "[%d,%d,%d]" % row
+        return text
+
+
+_ROW_TEXTS = _RowTexts()
+_row_text = _ROW_TEXTS.__getitem__
 
 
 @dataclass(frozen=True)
@@ -409,7 +421,9 @@ class NormalFormModule:
     Entries are stored canonically: sorted lexicographically, strictly
     positive multiplicities, duplicates merged.  Every entry is an ``int``
     (a bool or a float is a :class:`ConstraintViolation`), so the module
-    prints exactly as its JSON.  Equality of modules is equality of the maps.
+    prints exactly as its JSON, and rows equal as keys print the same text
+    (:meth:`to_json_text` relies on it).  Equality of modules is equality of
+    the maps.
 
     ``NormalFormModule(...)``, ``make_module`` and every JSON reader check
     and merge their rows; only :meth:`_canonical` skips that, and the walk of
@@ -523,18 +537,22 @@ class NormalFormModule:
         }
 
     def to_json_text(self) -> str:
-        """``canonical_dumps(self.to_json_dict())``, formatted from the rows.
+        """``canonical_dumps(self.to_json_dict())``, joined from row texts.
 
         The one producer of a top-level module line (``solve``, ``show
-        --format json``).  The line is one ``%`` format of every entry, free
-        rows first, into a template that holds one ``[%d,%d,%d]`` per row and
-        so depends only on the two row counts; ``_line_template`` keeps the
-        128 most recently used templates.  ``%d`` is exact because every
-        entry is an ``int``.
+        --format json``).  Each row's text ``[a,b,m]`` comes from one
+        process-wide table that formats a row the first time it is asked
+        for and is cleared before it would hold more than 1,024 rows; a
+        fiber of ``solve`` holds a few dozen distinct rows, so its lines
+        join texts formatted once.  Rows that are equal as keys have the
+        same text because every stored entry is an exact ``int``: a bool or
+        a float compares equal to an ``int`` but prints otherwise, and
+        ``__post_init__`` rejects both (the walk's trusted rows come from
+        ``range``).
         """
-        free, antipodal = self.free, self.antipodal
-        return _line_template(len(free), len(antipodal)) % tuple(
-            itertools.chain.from_iterable(free + antipodal)
+        return '{"free":[%s],"antipodal":[%s]}' % (
+            ",".join(map(_row_text, self.free)),
+            ",".join(map(_row_text, self.antipodal)),
         )
 
     @staticmethod

@@ -345,9 +345,9 @@ def test_json_text_edge_cases():
 
 
 def test_json_text_of_a_large_module_is_linear():
-    """The line of a module with 30,000 rows is the general encoder's text
-    and takes well under a second: the rows are flattened once, not summed
-    tuple by tuple, which is quadratic and takes seconds at this size."""
+    """The line of a module with 30,000 distinct rows is the general
+    encoder's text and takes well under a second, although the row-text
+    table is cleared about 29 times while the line is joined."""
     m = NormalFormModule(
         tuple((p, p % 7, 1 + p % 3) for p in range(25_000)),
         tuple((r, r % 5, 2) for r in range(5_000)),
@@ -356,3 +356,37 @@ def test_json_text_of_a_large_module_is_linear():
     text = m.to_json_text()
     assert time.perf_counter() - start < 1.0
     assert text == canonical_dumps(m.to_json_dict())
+
+
+def test_row_text_table_stays_bounded_across_a_clear(monkeypatch):
+    """Lines of modules with more distinct rows than the row-text table
+    holds: the table never exceeds its bound, a row printed before a clear
+    prints the same after it, and every line is the general encoder's text."""
+    from bredon.algebra import _ROW_TEXTS, _ROW_TEXTS_MAX, _RowTexts
+
+    sizes = []
+    missing = _RowTexts.__missing__
+
+    def recorded(table, row):
+        text = missing(table, row)
+        sizes.append(len(table))
+        return text
+
+    monkeypatch.setattr(_RowTexts, "__missing__", recorded)
+    _ROW_TEXTS.clear()
+    first = NormalFormModule(((0, 0, 1), (3, 1, 2)), ((1, 0, 1),))
+    before = first.to_json_text()
+    modules = [
+        NormalFormModule(
+            tuple((p, k, 1 + p % 3) for p in range(400)),
+            tuple((r, k, 2) for r in range(100)),
+        )
+        for k in range(5)
+    ]
+    for m in modules:
+        assert m.to_json_text() == canonical_dumps(m.to_json_dict())
+    assert (0, 0, 1) not in _ROW_TEXTS
+    assert first.to_json_text() == before == canonical_dumps(first.to_json_dict())
+    assert max(sizes) == _ROW_TEXTS_MAX == 1024
+    # about 2,300 distinct rows fill the table twice
+    assert sum(1 for a, b in zip(sizes, sizes[1:]) if b < a) == 2

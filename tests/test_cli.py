@@ -268,6 +268,31 @@ def test_solve_prints_every_module_canonically(tmp_path, capsys):
     assert any(mult >= 10 for m in modules for _, _, mult in m.free + m.antipodal)
 
 
+def test_solve_formats_each_distinct_row_once(capsys, monkeypatch):
+    """One ``bredon solve`` on ``pd_n3`` from an empty row-text table formats
+    each distinct row of its output once, far fewer than the rows it prints:
+    the reuse happens within one solve, with no warm-up from earlier ones."""
+    from bredon.algebra import _ROW_TEXTS, _RowTexts
+
+    formatted = []
+    missing = _RowTexts.__missing__
+
+    def counted(table, row):
+        formatted.append(row)
+        return missing(table, row)
+
+    monkeypatch.setattr(_RowTexts, "__missing__", counted)
+    _ROW_TEXTS.clear()
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "data" / "pd_n3.json"
+    code, out, _ = run(capsys, "solve", "--constraints", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    rows = [tuple(row) for line in lines for part in json.loads(line).values() for row in part]
+    assert len(lines) == 9418
+    assert len(formatted) == len(set(formatted)) == len(set(rows)) == 60
+    assert len(rows) > 1000 * len(formatted)
+
+
 def test_solve_writes_its_first_line_before_a_second_candidate(tmp_path, monkeypatch):
     """``bredon solve`` prints each module as the search yields it: the first
     line is written while only one candidate has been built."""
