@@ -50,7 +50,9 @@ passing over slots whose budgets ran out earlier in the search and trying
 every multiplicity they allow.  A sweep back over the levels then marks
 the states that lead to a completion: a state with no live edge for one
 or more copies takes over its child for zero copies, so a dead state ends
-empty.  A walk over an explicit stack turns each path through the live
+empty.  The built DAG is one value, its root (``_search_dag``): each state
+names its own slot, so the DAG needs neither the plan nor the levels to
+be read.  A walk over an explicit stack turns each path through the live
 states into a module.  Nothing recurses, so no answer depends on the
 interpreter's stack.  One search holds at most ``_MAX_STATES`` (65,536)
 states and raises :class:`SearchTooLarge` when it would add one more; the
@@ -59,9 +61,8 @@ budget must be spent once no later slot charges it (``closing``), which is
 how each degree's units are used up exactly; every slot uses units of its
 own degree, so once those are spent the search jumps to the next degree of
 its part.  A starting budget that is not a multiple of the gcd of the
-units its slots charge it cannot be spent exactly, so
-:func:`iter_decompositions` yields nothing for such data before it
-searches.
+units its slots charge it cannot be spent exactly, so the DAG of such
+data is the dead root ``[]``, returned before anything is built.
 
 **Walk order.**  The walk yields the modules in canonical order
 (``NormalFormModule.sort_key``: the free rows, then the antipodal rows,
@@ -84,12 +85,15 @@ the highest free row set so far.  Comparing an orbit's greatest row
 instead of its least gives the same order: the mirror reverses order, so
 every row set so far that lies above the least key is the mirror of an
 earlier representative and lies above the orbit's mirror too.  The walk
-reads the DAG's own end states: ``[end]`` completes and ``[]`` is dead.
-Every visit pops one state with the rows set so far; at ``[end]`` it
-builds the module and re-checks it, and at any other state it pushes the
-choices and the exit, unless the exit is dead.  The price of this order
-is a larger DAG: the free part is decided first, so each degree's budget
-stays open until the antipodal slots (522 states for the Betti-only K3).
+reads nothing but the DAG: a state is ``[slot, child for 0 copies, child
+for 1 copy, ...]``, ``[None]`` completes and ``[]`` is dead.  Every visit
+pops one state with the rows set so far; at ``[None]`` it builds the
+module and re-checks it, and at any other state it pushes the choices
+read off the state's slots and the exit, unless the exit is dead.  A dead
+root, from the gcd rule or from the build alike, pushes nothing.  The
+price of this order is a larger DAG: the free part is decided first, so
+each degree's budget stays open until the antipodal slots (522 states for
+the Betti-only K3).
 
 The walk builds each module without ``make_module``'s checks, from rows
 that are canonical by construction once sorted (``_walk_module``).  Every
@@ -312,8 +316,8 @@ def iter_decompositions(cs: ConstraintSet) -> Iterator[NormalFormModule]:
     order, each as soon as it passes the re-check; ``bredon solve`` prints
     one ``to_json_text`` line per module as it comes.
 
-    The whole search DAG is built before the first module, so
-    :class:`SearchTooLarge`, raised when the DAG would exceed
+    The first ``next`` builds the whole search DAG (``_search_dag``) before
+    it walks, so :class:`SearchTooLarge`, raised when the DAG would exceed
     ``_MAX_STATES`` states whatever the call stack, comes before any module.
     Search states, root included: Betti-only K3 522, ``pd_n3`` 415,
     ``pd_n4_neither`` 359, Betti-only cubic 1,383.  ``projective_space(16)``
@@ -323,6 +327,54 @@ def iter_decompositions(cs: ConstraintSet) -> Iterator[NormalFormModule]:
     even n >= 14 within about half a second; odd n yields nothing at once
     through the gcd rule.  Betti-only ``{0: 1, 2n: 1}`` has 2n + 9 states
     and yields its n + 2 modules at n = 20000.
+    """
+    # The walk, in canonical order (module docstring), over the DAG alone.
+    # An entry is a state and the free and antipodal rows set so far.  At
+    # [None] the path is complete; at any other state the walk pushes the
+    # state's walk record, built at its first visit: the choices last first,
+    # and the exit, unless it is dead, just before the first choice whose
+    # least row lies below the highest free row set so far.  Only a free
+    # state has both an exit and a choice, so only free rows are compared.
+    # A dead root, [], has no path.
+    records = {}
+    stack = [(root, (), ())] if (root := _search_dag(cs)) else []
+    while stack:
+        state, free, anti = stack.pop()
+        if len(state) == 1:  # [None]: the path is complete
+            if satisfies_constraints(cs, module := _walk_module(free, anti)):
+                yield module
+            continue
+        if (record := records.get(id(state))) is None:
+            record = records[id(state)] = _walk_record(state)
+        segments, leave = record
+        high = max(free, default=()) if leave else ()
+        for free_seg, anti_seg, child in segments:
+            if leave and free_seg[0] < high:
+                stack.append((leave, free, anti))
+                leave = []
+            stack.append((child, free + free_seg, anti + anti_seg))
+        if leave:
+            stack.append((leave, free, anti))
+
+
+def _search_dag(cs: ConstraintSet) -> list:
+    """The search DAG of the constraints, as its root state (module
+    docstring, "Search DAG"); the walk reads nothing else.
+
+    A state is a list: ``[slot, child for 0 copies, child for 1 copy,
+    ...]``, where ``slot`` is the plan's slot tuple (``_orbit_plan``) of its
+    first slot with room and each child is a state of a later level;
+    ``[None]`` when it completes; ``[]`` when it is dead.  States that reach the same
+    slot with the same budgets are one list, shared by every path through
+    them.  After the sweep every state other than ``[]`` leads to a
+    completion, and a state ``[slot, ...]`` has a live child for some
+    c >= 1 copies, while its child for 0 copies may be dead.  So the
+    number of modules the walk builds from a state is 1 at ``[None]``, 0 at
+    ``[]``, and the sum over its children otherwise.
+
+    The root is ``[]`` when no path completes, and the gcd rule returns it
+    before anything is built.  Raises :class:`SearchTooLarge` when the DAG
+    would hold more than ``_MAX_STATES`` states, root included.
     """
     n = cs.dimension
     betti = dict(cs.betti_total.items())
@@ -338,12 +390,10 @@ def iter_decompositions(cs: ConstraintSet) -> Iterator[NormalFormModule]:
     # exactly.  Under duality this ends an odd middle Betti number of odd n
     # at once, since every orbit charges that degree two units.
     if any(budget[e] % k for e, k in units):
-        return
+        return []
 
-    # levels[i]: budgets -> state (i, budgets), a list: [j, child for 0
-    # copies, child for 1 copy, ...] when j is its first slot with room,
-    # [end] when it completes, and [] when it is dead.  Every edge leads to
-    # a later slot, so the levels are expanded in order.
+    # levels[i]: budgets -> state (i, budgets).  Every edge leads to a later
+    # slot, so the levels are expanded in order.
     end = len(slots)
     levels: list[dict[tuple, list]] = [{} for _ in range(end + 1)]
     levels[0][tuple(budget)] = root = []
@@ -354,14 +404,14 @@ def iter_decompositions(cs: ConstraintSet) -> Iterator[NormalFormModule]:
             left = budget.__getitem__
             while not any(map(left, closing[j])):
                 if j == end:
-                    state.append(end)
+                    state.append(None)
                     break
                 charges, _, _, clears, after = slots[j]
                 cap = min(budget[e] // k for e, k in charges)
                 if not cap:  # pass over a slot whose budgets ran out earlier
                     j = j + 1 if budget[charges[0][0]] else after
                     continue
-                state.append(j)
+                state.append(slots[j])
                 for c in range(cap + 1):  # c copies are charged to budget here
                     # once its own degree is spent, no later slot of that degree fits
                     target = levels[j + 1 if budget[charges[0][0]] else after]
@@ -383,39 +433,13 @@ def iter_decompositions(cs: ConstraintSet) -> Iterator[NormalFormModule]:
 
     # Later levels first, a state with no live edge for c >= 1 copies takes
     # the contents of its child for 0 copies, whose completions it shares:
-    # so it ends empty when dead and as [end] when it can only complete.
+    # so it ends empty when dead and as [None] when it can only complete.
     # No other state is touched.
     for level in reversed(levels):
         for state in level.values():
             if len(state) > 1 and not any(state[2:]):
                 state[:] = state[1]
-
-    # The walk, in canonical order (module docstring).  An entry is a state
-    # and the free and antipodal rows set so far.  At [end] the path is
-    # complete; at any other state the walk pushes the state's walk record,
-    # built at its first visit: the choices last first, and the exit, unless
-    # it is dead, just before the first choice whose least row lies below
-    # the highest free row set so far.  Only a free state has both an exit
-    # and a choice, so only free rows are compared.
-    records = {}
-    stack = [(root, (), ())] if root else []
-    while stack:
-        state, free, anti = stack.pop()
-        if len(state) == 1:  # [end]: the path is complete
-            if satisfies_constraints(cs, module := _walk_module(free, anti)):
-                yield module
-            continue
-        if (record := records.get(id(state))) is None:
-            record = records[id(state)] = _walk_record(state, slots)
-        segments, leave = record
-        high = max(free, default=()) if leave else ()
-        for free_seg, anti_seg, child in segments:
-            if leave and free_seg[0] < high:
-                stack.append((leave, free, anti))
-                leave = []
-            stack.append((child, free + free_seg, anti + anti_seg))
-        if leave:
-            stack.append((leave, free, anti))
+    return root
 
 
 def _walk_module(free, anti):
@@ -431,27 +455,25 @@ def _walk_module(free, anti):
     return NormalFormModule._canonical(tuple(sorted(free)), tuple(sorted(anti)))
 
 
-def _walk_record(state, slots):
-    """The choices of a live state other than ``[end]``, as (segments, leave).
+def _walk_record(state):
+    """The choices of a live state other than ``[None]``, as (segments, leave).
 
-    Following the state's edges for 0 copies while they stay in its part
-    (free or antipodal), each live edge for c >= 1 copies is one segment
-    ``(free rows, antipodal rows, child)``, one of the row tuples empty and
-    the other starting with the row of the slot's least key, and the child
-    as the DAG holds it.  ``segments`` lists the segments in decreasing
-    order, the order in which the walk pushes them.  ``leave`` is the state
-    where the 0-copy chain leaves the part, as the DAG holds it: ``[]``
-    when the chain dies, ``[end]`` when it completes, else a live state of
-    the antipodal part.  An antipodal state whose chain completes has no
-    segment: completion needs every budget spent, and a slot is offered
-    only while budget is left in its own degree.
+    Following the state's edges for 0 copies while their slots stay in its
+    part (free or antipodal), each live edge for c >= 1 copies is one
+    segment ``(free rows, antipodal rows, child)``, one of the row tuples
+    empty and the other starting with the row of the slot's least key, and
+    the child as the DAG holds it.  ``segments`` lists the segments in
+    decreasing order, the order in which the walk pushes them.  ``leave``
+    is the state where the 0-copy chain leaves the part, as the DAG holds
+    it: ``[]`` when the chain dies, ``[None]`` when it completes, else a
+    live state of the antipodal part.  An antipodal state whose chain
+    completes has no segment: completion needs every budget spent, and a
+    slot is offered only while budget is left in its own degree.
     """
-    end = len(slots)
     segments = []
-    j = state[0]
-    free_part = bool(slots[j][1])
-    while j < end and bool(slots[j][1]) is free_part:
-        _, free_keys, anti_keys, _, _ = slots[j]
+    free_part = bool(state[0][1])
+    while state and (slot := state[0]) and bool(slot[1]) is free_part:
+        _, free_keys, anti_keys, _, _ = slot
         for c in range(1, len(state) - 1):
             child = state[c + 1]
             if child:
@@ -459,7 +481,6 @@ def _walk_record(state, slots):
                 anti_rows = tuple([(r, t, c) for r, t in anti_keys])
                 segments.append((free_rows, anti_rows, child))
         state = state[1]
-        j = state[0] if state else end
     segments.reverse()
     return segments, state
 

@@ -183,11 +183,29 @@ def _box_constraints(boxes=((1, 3), (2, 2)), fixed_lists=(None,), onto=False):
                 yield cs
 
 
+def _dag_paths(cs):
+    """The number of root-to-completion paths of ``_search_dag(cs)``, read
+    off the value alone, with no slots and no plan: ``[None]`` counts 1,
+    ``[]`` counts 0, and any other state the sum over its children, each
+    shared state counted once."""
+    memo = {}
+
+    def paths(state):
+        if len(state) < 2:  # [None] or []
+            return len(state)
+        if id(state) not in memo:
+            memo[id(state)] = sum(map(paths, state[1:]))
+        return memo[id(state)]
+
+    return paths(solver._search_dag(cs))
+
+
 def _sweep_against_brute_force(constraint_sets, made):
     """(sets, nonempty sets, candidates per class filter), asserting on each
-    set that the search equals the oracle and the lattice count, yields its
-    modules in strictly increasing canonical order, and materializes exactly
-    the modules it returns: ``made`` is the ``_count_candidates`` list.
+    set that the search equals the oracle, the lattice count and the path
+    count of its DAG, yields its modules in strictly increasing canonical
+    order, and materializes exactly the modules it returns: ``made`` is the
+    ``_count_candidates`` list.
 
     That last check shows the budgets make the search exact under every
     class filter: no budget is left unchecked when the search jumps past a
@@ -200,7 +218,7 @@ def _sweep_against_brute_force(constraint_sets, made):
         fast = enumerate_decompositions(cs)
         assert len(made) == len(fast), cs.to_json_dict()
         assert fast == brute_force_decompositions(cs), cs.to_json_dict()
-        assert lattice_count(cs) == len(fast), cs.to_json_dict()
+        assert lattice_count(cs) == _dag_paths(cs) == len(fast), cs.to_json_dict()
         _assert_strictly_sorted(fast, cs)
         cases += 1
         nonempty += bool(fast)
@@ -242,8 +260,8 @@ def _count_candidates(monkeypatch):
         _assert_trusted(module, rows)
         return module
 
-    def checked(state, slots):
-        segments, leave = record(state, slots)
+    def checked(state):
+        segments, leave = record(state)
         assert not leave or not any(anti for _, anti, _ in segments)
         return segments, leave
 
@@ -291,13 +309,17 @@ def test_exhaustive_forgetful_box_against_brute_force(monkeypatch):
                                    "has_fixed_point": True, "connected": True,
                                    "poincare_dual": True, "class_filter": "NEITHER"}), 2503),
     (ConstraintSet(dimension=3, betti_total=GradedDims.from_list([1, 0, 1, 10, 1, 0, 1])), 130687),
+    (ConstraintSet(dimension=3, betti_total=GradedDims.from_list([1, 0, 3, 20, 3, 0, 1])), 89263156),
     (k3_constraints(), 1),
     (cubic_constraints(), 3),
-], ids=["k3_betti", "pd_n3", "pd_n4_neither", "cubic_betti", "k3_s2s2", "cubic_s3_rp3"])
+], ids=["k3_betti", "pd_n3", "pd_n4_neither", "cubic_betti", "n3_middle_20", "k3_s2s2",
+        "cubic_s3_rp3"])
 def test_lattice_count_of_known_fibers(cs, count):
-    """The lattice count gives the size of each benchmark and demo fiber,
-    the Betti-only cubic (130,687 modules) included, without a search."""
-    assert lattice_count(cs) == count
+    """The lattice count and the path count of the search DAG each give the
+    size of each benchmark and demo fiber, the Betti-only cubic (130,687
+    modules) and n=3 ``[1,0,3,20,3,0,1]`` (89,263,156) included, without
+    listing it."""
+    assert lattice_count(cs) == _dag_paths(cs) == count
 
 
 def test_betti_only_cubic_fiber_output():
@@ -366,9 +388,10 @@ def test_walk_builds_trusted_modules_on_benchmark_and_demo_sets(path, monkeypatc
     assert solutions and len(made) == len(solutions)
 
 
-def test_odd_middle_betti_number_ends_at_once():
+def test_odd_middle_betti_number_ends_at_once(monkeypatch):
     """Under duality every orbit charges the middle degree of odd n two
-    units, so an odd middle Betti number ends the search before it starts."""
+    units, so an odd middle Betti number ends the search before it starts:
+    its DAG is the dead root ``[]``, returned before any state is built."""
     import time
 
     n = 25
@@ -386,6 +409,8 @@ def test_odd_middle_betti_number_ends_at_once():
         n, cs.betti_total.support(), None, True, True, frozenset(), None
     )
     assert (names.index(("betti", n)), 2) in units and cs.betti_total.get(n) % 2
+    monkeypatch.setattr(solver, "_MAX_STATES", 0)
+    assert solver._search_dag(cs) == []
 
 
 @pytest.mark.parametrize("data", [
