@@ -212,8 +212,41 @@ def clean_rows(rows: Iterable[Sequence], width: int, what: str) -> tuple:
     return merged
 
 
+class _Rows:
+    """Base of the frozen value types that are maps stored as canonical rows.
+
+    A subclass is a frozen dataclass whose fields are row tuples.  Its class
+    constant ``_ROWS`` maps each field name, in field order, to the width of
+    its rows, and ``_WHAT`` names a row's value in error messages.  The
+    dataclass ``__init__`` passes every field through ``clean_rows``: the
+    one construction path of these types, which ``NormalFormModule``
+    replaces with its own stricter checks.
+    """
+
+    _ROWS: dict[str, int] = {}
+    _WHAT = ""
+
+    def __post_init__(self):
+        for name, width in self._ROWS.items():
+            object.__setattr__(self, name, clean_rows(getattr(self, name), width, self._WHAT))
+
+    def __add__(self, other):
+        """The direct sum: the rows of both values, field by field."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(*[getattr(self, name) + getattr(other, name) for name in self._ROWS])
+
+    def _json_rows(self) -> dict:
+        """The value as a JSON object: each field's rows as lists.
+
+        It is the ``to_json_dict`` of ``NormalFormModule``, ``C2GradedSpace``
+        and ``BorelModule``; the other types have none.
+        """
+        return {name: list(map(list, getattr(self, name))) for name in self._ROWS}
+
+
 @dataclass(frozen=True)
-class GradedDims:
+class GradedDims(_Rows):
     """A finitely supported map degree -> positive dimension.
 
     ``GradedDims(...)``, ``from_list`` and every JSON reader pass their rows
@@ -221,9 +254,8 @@ class GradedDims:
     """
 
     entries: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", clean_rows(self.entries, 2, "dimension"))
+    _ROWS = {"entries": 2}
+    _WHAT = "dimension"
 
     @classmethod
     def _canonical(cls, entries: tuple[tuple[int, int], ...]) -> "GradedDims":
@@ -270,21 +302,17 @@ class GradedDims:
                 dense[d] = v
         return dense
 
-    def __add__(self, other: "GradedDims") -> "GradedDims":
-        return GradedDims(self.entries + other.entries)
-
     def __bool__(self) -> bool:
         return bool(self.entries)
 
 
 @dataclass(frozen=True)
-class UnivariatePolynomial:
+class UnivariatePolynomial(_Rows):
     """Sparse polynomial with nonnegative integer coefficients."""
 
     terms: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", clean_rows(self.terms, 2, "coefficient"))
+    _ROWS = {"terms": 2}
+    _WHAT = "coefficient"
 
     def coefficient(self, exponent: int) -> int:
         return row_value(self.terms, (exponent,))
@@ -301,9 +329,6 @@ class UnivariatePolynomial:
     def to_graded_dims(self) -> GradedDims:
         return GradedDims(self.terms)
 
-    def __add__(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
-        return UnivariatePolynomial(self.terms + other.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -314,13 +339,12 @@ class UnivariatePolynomial:
 
 
 @dataclass(frozen=True)
-class BivariatePolynomial:
+class BivariatePolynomial(_Rows):
     """Sparse two-variable polynomial with nonnegative integer coefficients."""
 
     terms: tuple[tuple[int, int, int], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", clean_rows(self.terms, 3, "coefficient"))
+    _ROWS = {"terms": 3}
+    _WHAT = "coefficient"
 
     @staticmethod
     def from_mapping(mapping: Mapping[tuple[int, int], int]) -> "BivariatePolynomial":
@@ -355,9 +379,6 @@ class BivariatePolynomial:
             rows.append((e, c))
         return UnivariatePolynomial(tuple(rows))
 
-    def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        return BivariatePolynomial(self.terms + other.terms)
-
     def to_json(self) -> list[list[int]]:
         return [[i, j, c] for i, j, c in self.terms]
 
@@ -389,9 +410,6 @@ class BivariatePolynomial:
 # ---------------------------------------------------------------------------
 
 
-_MODULE_KEYS = ("free", "antipodal")
-
-
 _ROW_TEXTS_MAX = 1024
 
 
@@ -415,7 +433,7 @@ _row_text = _ROW_TEXTS.__getitem__
 
 
 @dataclass(frozen=True)
-class NormalFormModule:
+class NormalFormModule(_Rows):
     """Two multiplicity maps: free summands at (p, q), antipodal at (r, n).
 
     Entries are stored canonically: sorted lexicographically, strictly
@@ -432,9 +450,10 @@ class NormalFormModule:
 
     free: tuple[tuple[int, int, int], ...] = ()
     antipodal: tuple[tuple[int, int, int], ...] = ()
+    _ROWS = {"free": 3, "antipodal": 3}
 
     def __post_init__(self):
-        for part in ("free", "antipodal"):
+        for part in self._ROWS:
             rows = tuple(getattr(self, part))
             for a, b, mult in rows:
                 if not (int is type(a) is type(b) is type(mult)):
@@ -509,11 +528,6 @@ class NormalFormModule:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "NormalFormModule") -> "NormalFormModule":
-        if not isinstance(other, NormalFormModule):
-            return NotImplemented
-        return NormalFormModule(self.free + other.free, self.antipodal + other.antipodal)
-
     def suspend(self, p: int, q: int) -> "NormalFormModule":
         """Shift by the representation sphere direction (p, q), p >= q >= 0.
 
@@ -529,12 +543,7 @@ class NormalFormModule:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        """The module as a JSON object, for payloads that embed one."""
-        return {
-            "free": [[p, q, m] for p, q, m in self.free],
-            "antipodal": [[r, n, m] for r, n, m in self.antipodal],
-        }
+    to_json_dict = _Rows._json_rows
 
     def to_json_text(self) -> str:
         """``canonical_dumps(self.to_json_dict())``, joined from row texts.
@@ -558,11 +567,11 @@ class NormalFormModule:
     @staticmethod
     def from_json_dict(data) -> "NormalFormModule":
         expect(data, dict, "module", "an object with 'free' and 'antipodal'")
-        known_fields(data, _MODULE_KEYS, "module")
+        known_fields(data, NormalFormModule._ROWS, "module")
         shape, row_shape = "a list of triples", "three integers [a, b, mult]"
         free, antipodal = (
             int_rows(data.get(part, []), f"module.{part}", shape, row_shape)
-            for part in _MODULE_KEYS
+            for part in NormalFormModule._ROWS
         )
         return make_module(free, antipodal)
 
@@ -597,10 +606,7 @@ def make_module(
 
 def direct_sum(*modules: NormalFormModule) -> NormalFormModule:
     """Pointwise sum of the multiplicity maps."""
-    total = NormalFormModule.zero()
-    for m in modules:
-        total = total + m
-    return total
+    return sum(modules, NormalFormModule.zero())
 
 
 def suspend(module: NormalFormModule, p: int, q: int) -> NormalFormModule:

@@ -48,7 +48,7 @@ from .algebra import (
     GradedDims,
     NormalFormModule,
     UnivariatePolynomial,
-    clean_rows,
+    _Rows,
     power,
     rank_polynomial,
     row_value,
@@ -80,7 +80,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class C2GradedSpace:
+class C2GradedSpace(_Rows):
     """A graded F2-space with involution: trivial lines and regular summands.
 
     The involution fixes each trivial line pointwise and swaps the basis of
@@ -91,10 +91,8 @@ class C2GradedSpace:
 
     trivial: tuple[tuple[int, int], ...] = ()
     regular: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "trivial", clean_rows(self.trivial, 2, "count"))
-        object.__setattr__(self, "regular", clean_rows(self.regular, 2, "count"))
+    _ROWS = {"trivial": 2, "regular": 2}
+    _WHAT = "count"
 
     def trivial_count(self, degree: int) -> int:
         return row_value(self.trivial, (degree,))
@@ -115,15 +113,11 @@ class C2GradedSpace:
     def total_dimension(self) -> int:
         return self.dims().total()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "trivial": [[d, c] for d, c in self.trivial],
-            "regular": [[d, c] for d, c in self.regular],
-        }
+    to_json_dict = _Rows._json_rows
 
 
 @dataclass(frozen=True)
-class BorelModule:
+class BorelModule(_Rows):
     """An F2[z]-module in normal form: free shifts plus shifted truncations.
 
     ``free`` counts copies of F2[z] on a generator in degree p; ``torsion``
@@ -132,10 +126,8 @@ class BorelModule:
 
     free: tuple[tuple[int, int], ...] = ()
     torsion: tuple[tuple[int, int, int], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "free", clean_rows(self.free, 2, "count"))
-        object.__setattr__(self, "torsion", clean_rows(self.torsion, 3, "count"))
+    _ROWS = {"free": 2, "torsion": 3}
+    _WHAT = "count"
 
     @property
     def torsion_orders(self) -> tuple[int, ...]:
@@ -147,11 +139,7 @@ class BorelModule:
             tuple((r + offset, n, c) for r, n, c in self.torsion),
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "free": [[p, c] for p, c in self.free],
-            "torsion": [[r, n, c] for r, n, c in self.torsion],
-        }
+    to_json_dict = _Rows._json_rows
 
     def summands(self) -> list[str]:
         return [power(f"F2[z]({p})", c) for p, c in self.free] + [
@@ -163,7 +151,7 @@ class BorelModule:
 
 
 @dataclass(frozen=True)
-class HomologyModule:
+class HomologyModule(_Rows):
     """A normal form read with the opposite (homological) grading.
 
     Keys mean the duals of the cohomological summands: a free key (p, q) is
@@ -174,10 +162,8 @@ class HomologyModule:
     free: tuple[tuple[int, int, int], ...] = ()
     antipodal: tuple[tuple[int, int, int], ...] = ()
     opposite_grading = True  # a class constant, not a field
-
-    def __post_init__(self):
-        object.__setattr__(self, "free", clean_rows(self.free, 3, "multiplicity"))
-        object.__setattr__(self, "antipodal", clean_rows(self.antipodal, 3, "multiplicity"))
+    _ROWS = {"free": 3, "antipodal": 3}
+    _WHAT = "multiplicity"
 
 
 @dataclass(frozen=True)

@@ -190,10 +190,13 @@ class ConstraintSet:
     ``betti_fixed``, when given, those of the fixed locus; support of either
     outside degrees 0..2n raises :class:`InfeasibleBounds`.  When
     ``betti_fixed`` is given, ``has_fixed_point`` must say whether its total
-    is positive, else :class:`ConstraintViolation`.
-    ``poincare_dual`` asserts the compact-Real-manifold mirror symmetries;
-    without it the search answers only within its key box (module
-    docstring).  ``forgetful_onto_degrees`` lists degrees where restriction
+    is positive, else :class:`ConstraintViolation`.  Without ``betti_fixed``,
+    ``has_fixed_point`` only shapes the key box: it does not require a free
+    summand.  ``poincare_dual`` asserts the compact-Real-manifold mirror
+    symmetries; without it the search answers only within its key box
+    (module docstring), and with it every solution lies in the box provided
+    each component meets the fixed locus.  ROADMAP item 16 tracks both
+    gaps.  ``forgetful_onto_degrees`` lists degrees where restriction
     to singular cohomology must be surjective; one outside 0..2n raises
     :class:`InfeasibleBounds`.
 

@@ -12,19 +12,31 @@ from bredon import (
     BivariatePolynomial,
     BorelModule,
     ConstraintViolation,
+    GradedDims,
+    HomologyModule,
     InvalidShift,
     M2Element,
+    MaximalityClass,
     NegativeExponent,
     NegativeMultiplicity,
     NormalFormModule,
     SchemaError,
     UnivariatePolynomial,
+    classify,
     direct_sum,
+    fixed_poincare_polynomial,
+    forgetful_image_dims,
+    homology_dual,
     m2_basis,
     m2_multiply,
     make_module,
     rank_polynomial,
+    real_manifold_validate,
+    rho_localize,
+    singular_betti,
     suspend,
+    tau_localize,
+    underlying_singular,
 )
 from bredon.cli import render_rank_lattice
 from bredon.serialize import canonical_dumps, parse_json
@@ -66,6 +78,17 @@ def test_identity_and_zero_absorb():
     for x in m2_basis(3):
         assert x * ONE == x
         assert x * ZERO == ZERO
+
+
+def test_zero_is_the_only_zero_element():
+    assert ZERO.is_zero
+    assert not any(x.is_zero for x in m2_basis(2))
+
+
+def test_a_product_with_another_type_is_a_type_error():
+    assert RHO.__mul__(2) is NotImplemented
+    with pytest.raises(TypeError):
+        RHO * 2
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
@@ -199,6 +222,50 @@ def test_rank_polynomial_additive(a, b):
         assert mult == a.antipodal_rank(*key) + b.antipodal_rank(*key)
 
 
+# Every invariant the search plan reads off an orbit's one-copy module is
+# additive over summands (``bredon.solver._orbit_plan`` relies on it).
+_CLASS_ORDER = list(MaximalityClass)  # M < GM < NEITHER
+_POSITIONAL = (
+    "free_weight_bound",
+    "antipodal_span_bound",
+    "antipodal_positive_shift",
+    "antipodal_span_strict",
+)
+
+
+def _positional_keys(module, n, has_fixed_point):
+    report = real_manifold_validate(module, n, has_fixed_point, False)
+    keys = {f.condition: set(f.keys) for f in report.failures}
+    return {condition: keys.get(condition, set()) for condition in _POSITIONAL}
+
+
+@given(modules, modules, st.integers(0, 3))
+def test_invariants_are_additive_over_summands(a, b, n):
+    total = a + b
+    for invariant in (singular_betti, rho_localize, forgetful_image_dims,
+                      tau_localize, underlying_singular, homology_dual):
+        assert invariant(total) == invariant(a) + invariant(b)
+    assert classify(total) == max(classify(a), classify(b), key=_CLASS_ORDER.index)
+    for has_fixed_point in (False, True):
+        parts = [_positional_keys(m, n, has_fixed_point) for m in (a, b)]
+        assert _positional_keys(total, n, has_fixed_point) == {
+            condition: parts[0][condition] | parts[1][condition] for condition in _POSITIONAL
+        }
+    for x, y in [
+        (a, homology_dual(b)),
+        (rank_polynomial(a), a),
+        (rho_localize(a), fixed_poincare_polynomial(b)),
+        (tau_localize(a), underlying_singular(b)),
+    ]:
+        with pytest.raises(TypeError):
+            x + y
+
+
+def test_a_sum_with_another_type_is_not_implemented():
+    assert NormalFormModule.zero().__add__(HomologyModule()) is NotImplemented
+    assert GradedDims().__add__(UnivariatePolynomial()) is NotImplemented
+
+
 @given(modules, st.integers(0, 4), st.integers(0, 4))
 def test_rank_polynomial_suspension(m, k, q):
     p = q + k
@@ -240,6 +307,18 @@ def test_polynomial_str():
     assert str(BivariatePolynomial(((0, 2, 1),))) == "v^2"
     assert str(BivariatePolynomial(((1, 3, 2),))) == "2uv^3"
     assert str(BivariatePolynomial(((0, 0, 5),))) == "5"
+
+
+def test_univariate_sum_adds_coefficients():
+    left = UnivariatePolynomial(((0, 1), (2, 1)))
+    right = UnivariatePolynomial(((1, 4), (2, 2)))
+    assert left + right == UnivariatePolynomial(((0, 1), (1, 4), (2, 3)))
+
+
+def test_graded_dims_is_false_exactly_when_empty():
+    assert not GradedDims()
+    assert not GradedDims.from_list([0, 0])
+    assert GradedDims.from_list([0, 1])
 
 
 def test_univariate_evaluations():

@@ -5,6 +5,7 @@ from bredon import (
     BivariatePolynomial,
     BorelModule,
     MaximalityClass,
+    NormalFormModule,
     TorsionUnknown,
     borel_classify,
     catalog_get,
@@ -168,3 +169,8 @@ def test_internal_consistency_guard_unreachable(module_corpus):
 def test_rank_polynomial_he_k3():
     he = catalog_get("k3_hodge_expressive").module
     assert str(rank_polynomial(he)) == "1 + u^2 + 20u^2v + u^2v^2 + u^4v^2"
+
+
+def test_hodge_birank_rejects_a_free_key_above_the_diagonal():
+    # (1, 2) has q > p, so no Hodge number (p - q, q) can match it
+    assert not hodge_birank_check(NormalFormModule([(1, 2, 1)]), BivariatePolynomial())

@@ -358,6 +358,18 @@ def test_box_gap_modules_are_found(data, free, antipodal):
     assert make_module(free, antipodal) in enumerate_decompositions(cs)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: without betti_fixed the fixed-point "
+                   "flag only shapes the key box, so A0[1] comes out")
+def test_fixed_point_flag_yields_a_fixed_point():
+    # A fixed point is a free summand: rho_localize of an all-antipodal module is 0.
+    for pd in (False, True):
+        cs = ConstraintSet.from_json_dict(
+            {"n": 1, "betti_total": [0, 2, 0], "has_fixed_point": True, "poincare_dual": pd}
+        )
+        for module in enumerate_decompositions(cs):
+            assert module.free, (pd, str(module))
+
+
 def test_neither_filter_builds_only_accepted_modules(monkeypatch):
     """The n = 4 duality set with class filter NEITHER materializes exactly
     the modules it returns."""
